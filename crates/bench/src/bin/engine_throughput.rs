@@ -40,12 +40,11 @@
 //!   the alert path end to end (`cargo run ... -- watch` runs only this
 //!   part and merges a `watch` block into `BENCH_engine.json`).
 //! * **tenancy** — multi-tenancy: ≥100k structurally identical tenant
-//!   subscriptions over the 144-district grid, shared detector plans
-//!   vs per-subscription detectors. Asserts the dedupe contract (one
-//!   plan per district, ≤1% as many plans as subscriptions, dedupe
-//!   ratio > 10x) and records throughput, registration rate, and
-//!   RSS bytes per subscription (`cargo run ... -- tenancy` runs only
-//!   this part and merges a `tenancy` block into `BENCH_engine.json`).
+//!   subscriptions over the 144-district grid. Asserts the dedupe
+//!   contract (one plan per district, ≤1% as many plans as
+//!   subscriptions, dedupe ratio > 10x) and records throughput and
+//!   registration rate (`cargo run ... -- tenancy` runs only this part
+//!   and merges a `tenancy` block into `BENCH_engine.json`).
 //!
 //! Results go to `BENCH_engine.json` (full, `wal`, `snap`, `scoped`,
 //! `trace`, `watch`, and `tenancy` runs).
@@ -749,14 +748,6 @@ fn scoped_mode() -> String {
     block
 }
 
-/// Resident-set bytes from `/proc/self/statm` (0 where unavailable).
-fn rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/statm")
-        .ok()
-        .and_then(|s| s.split_whitespace().nth(1).and_then(|f| f.parse().ok()))
-        .map_or(0, |pages: u64| pages * 4096)
-}
-
 /// The multi-tenancy workload: ≥100k structurally identical station
 /// subscriptions (the paper's 10⁵-observer regime — every tenant in a
 /// district asks the same question, only the sink differs) over the
@@ -767,13 +758,7 @@ fn rss_bytes() -> u64 {
 fn tenancy_mode() -> String {
     const STATIONS_PER_SIDE: usize = 12; // 144 districts
     const TENANTS_PER_DISTRICT: usize = 700; // 100_800 subscriptions
-                                             // The per-subscription baseline pays O(n) registry rebuild and ~n
-                                             // detector evaluations per covered instance — the disease sharing
-                                             // cures — so its leg runs at 1/10 the tenant count and a shorter
-                                             // feed to stay affordable; rates are per-second normalized.
-    const UNSHARED_TENANTS_PER_DISTRICT: usize = 70;
     const TENANCY_INSTANCES: usize = 60_000;
-    const UNSHARED_INSTANCES: usize = 4_000;
     const SHARDS: usize = 8;
     println!("\n-- tenancy mode: shared detector plans at 100k subscriptions --\n");
     let instances: Vec<EventInstance> = synthetic_stream()
@@ -787,179 +772,86 @@ fn tenancy_mode() -> String {
             Point::new((gx as f64 + 1.0) * step, (gy as f64 + 1.0) * step),
         )
     };
-    struct TenancyRun {
-        mode: &'static str,
-        instances: usize,
-        instances_per_sec: f64,
-        register_per_sec: f64,
-        bytes_per_subscription: u64,
-        subscriptions: u64,
-        plans_active: u64,
-        dedupe_ratio: f64,
-        max_fanout: u64,
-        notifications: u64,
-    }
-    let run = |mode: &'static str,
-               sharing: bool,
-               tenants_per_district: usize,
-               feed: &[EventInstance]|
-     -> TenancyRun {
-        let mut engine = Engine::start(
-            EngineConfig::new(bounds())
-                .with_shards(SHARDS)
-                .with_batch_size(256)
-                .with_queue_capacity(32)
-                .with_watermark_slack(Duration::new(16))
-                .with_plan_sharing(sharing),
-        );
-        let collector = Collector::new();
-        let rss_before = rss_bytes();
-        let reg_started = std::time::Instant::now();
-        let mut subs = 0u64;
-        for gy in 0..STATIONS_PER_SIDE {
-            for gx in 0..STATIONS_PER_SIDE {
-                let rect = district(gx, gy);
-                for t in 0..tenants_per_district {
-                    // The template (region, filter, condition, home)
-                    // is identical across a district's tenants; only
-                    // the name and sink — subscriber identity — vary.
-                    // The threshold sits above the synthetic temp
-                    // range so dispatch cost, not delivery, is
-                    // measured.
-                    engine.subscribe(
-                        Subscription::new(
-                            format!("tenant-{gx}-{gy}-{t}"),
-                            SpatialExtent::field(Field::rect(rect)),
-                            collector.sink(),
-                        )
-                        .for_event("reading")
-                        .when(dsl::parse("x.temp > 99.5").unwrap())
-                        .homed_near(rect.center()),
-                    );
-                    subs += 1;
-                }
+    let mut engine = Engine::start(
+        EngineConfig::new(bounds())
+            .with_shards(SHARDS)
+            .with_batch_size(256)
+            .with_queue_capacity(32)
+            .with_watermark_slack(Duration::new(16)),
+    );
+    let collector = Collector::new();
+    let reg_started = std::time::Instant::now();
+    let mut subscriptions = 0u64;
+    for gy in 0..STATIONS_PER_SIDE {
+        for gx in 0..STATIONS_PER_SIDE {
+            let rect = district(gx, gy);
+            for t in 0..TENANTS_PER_DISTRICT {
+                // The template (region, filter, condition, home) is
+                // identical across a district's tenants; only the name
+                // and sink — subscriber identity — vary. The threshold
+                // sits above the synthetic temp range so dispatch cost,
+                // not delivery, is measured.
+                engine.subscribe(
+                    Subscription::new(
+                        format!("tenant-{gx}-{gy}-{t}"),
+                        SpatialExtent::field(Field::rect(rect)),
+                        collector.sink(),
+                    )
+                    .for_event("reading")
+                    .when(dsl::parse("x.temp > 99.5").unwrap())
+                    .homed_near(rect.center()),
+                );
+                subscriptions += 1;
             }
         }
-        let register_per_sec = subs as f64 / reg_started.elapsed().as_secs_f64();
-        let rss_delta = rss_bytes().saturating_sub(rss_before);
-        engine.ingest_all(feed.iter());
-        let report = engine.finish();
-        TenancyRun {
-            mode,
-            instances: feed.len(),
-            instances_per_sec: report.throughput(),
-            register_per_sec,
-            bytes_per_subscription: rss_delta / subs.max(1),
-            subscriptions: subs,
-            plans_active: report.plans_active,
-            dedupe_ratio: report.dedupe_ratio(),
-            max_fanout: report.plan_subscribers_max,
-            notifications: report.total_notifications(),
-        }
-    };
-
-    let unshared = run(
-        "unshared",
-        false,
-        UNSHARED_TENANTS_PER_DISTRICT,
-        &instances[..UNSHARED_INSTANCES],
-    );
-    let shared = run("shared", true, TENANTS_PER_DISTRICT, &instances);
-
-    let mut table = Table::new(vec![
-        "mode",
-        "subs",
-        "instances",
-        "instances/sec",
-        "register/sec",
-        "plans",
-        "dedupe",
-        "bytes/sub",
-    ]);
-    for r in [&unshared, &shared] {
-        table.row(vec![
-            r.mode.to_string(),
-            r.subscriptions.to_string(),
-            r.instances.to_string(),
-            format!("{:.0}", r.instances_per_sec),
-            format!("{:.0}", r.register_per_sec),
-            r.plans_active.to_string(),
-            format!("{:.1}x", r.dedupe_ratio),
-            r.bytes_per_subscription.to_string(),
-        ]);
     }
-    table.print();
+    let register_per_sec = subscriptions as f64 / reg_started.elapsed().as_secs_f64();
+    engine.ingest_all(instances.iter());
+    let report = engine.finish();
+    let (plans_active, dedupe_ratio) = (report.plans_active, report.dedupe_ratio());
+    println!(
+        "{subscriptions} subscriptions -> {plans_active} plans ({dedupe_ratio:.1}x dedupe); \
+         {:.0} registrations/sec, {:.0} instances/sec",
+        register_per_sec,
+        report.throughput(),
+    );
 
     // The dedupe contract, asserted where CI can see it fail.
     assert!(
-        shared.subscriptions >= 100_000,
+        subscriptions >= 100_000,
         "the tenancy workload must register at least 100k subscriptions"
     );
     assert_eq!(
-        shared.plans_active,
+        plans_active,
         (STATIONS_PER_SIDE * STATIONS_PER_SIDE) as u64,
         "identical tenant templates must collapse to one plan per district"
     );
     assert!(
-        shared.plans_active * 100 <= shared.subscriptions,
-        "shared plans must number at most 1% of subscriptions ({} plans for {})",
-        shared.plans_active,
-        shared.subscriptions,
+        plans_active * 100 <= subscriptions,
+        "shared plans must number at most 1% of subscriptions \
+         ({plans_active} plans for {subscriptions})",
     );
     assert!(
-        shared.dedupe_ratio > 10.0,
-        "plan dedupe ratio must exceed 10x (got {:.1}x)",
-        shared.dedupe_ratio,
+        dedupe_ratio > 10.0,
+        "plan dedupe ratio must exceed 10x (got {dedupe_ratio:.1}x)",
     );
     assert_eq!(
-        unshared.plans_active, unshared.subscriptions,
-        "sharing off must keep one plan per subscription"
-    );
-    assert_eq!(
-        shared.notifications, 0,
+        report.total_notifications(),
+        0,
         "the over-threshold condition must not deliver"
     );
-    println!(
-        "\ndedupe: {} subscriptions -> {} plans ({:.0}x); \
-         {} bytes/sub shared vs {} unshared",
-        shared.subscriptions,
-        shared.plans_active,
-        shared.dedupe_ratio,
-        shared.bytes_per_subscription,
-        unshared.bytes_per_subscription,
-    );
 
-    let mut block = String::from("{\n");
-    block.push_str(&format!(
-        "    \"workload\": \"{} structurally identical tenant subscriptions over \
-         {} districts, shared plans vs per-subscription detectors\",\n",
-        shared.subscriptions,
+    format!(
+        "{{\n    \"workload\": \"{subscriptions} structurally identical tenant subscriptions \
+         over {} districts\",\n    \"subscriptions\": {subscriptions},\n    \
+         \"plans_active\": {plans_active},\n    \"dedupe_ratio\": {dedupe_ratio:.1},\n    \
+         \"max_fanout\": {},\n    \"instances\": {},\n    \"instances_per_sec\": {:.0},\n    \
+         \"register_per_sec\": {register_per_sec:.0}\n  }}",
         STATIONS_PER_SIDE * STATIONS_PER_SIDE,
-    ));
-    block.push_str(&format!(
-        "    \"subscriptions\": {},\n    \"plans_active\": {},\n    \
-         \"dedupe_ratio\": {:.1},\n    \"max_fanout\": {},\n",
-        shared.subscriptions, shared.plans_active, shared.dedupe_ratio, shared.max_fanout,
-    ));
-    block.push_str("    \"results\": [\n");
-    let runs = [&unshared, &shared];
-    for (i, r) in runs.iter().enumerate() {
-        block.push_str(&format!(
-            "      {{\"mode\": \"{}\", \"subscriptions\": {}, \"instances\": {}, \
-             \"instances_per_sec\": {:.0}, \"register_per_sec\": {:.0}, \
-             \"plans_active\": {}, \"bytes_per_subscription\": {}}}{}\n",
-            r.mode,
-            r.subscriptions,
-            r.instances,
-            r.instances_per_sec,
-            r.register_per_sec,
-            r.plans_active,
-            r.bytes_per_subscription,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    block.push_str("    ]\n  }");
-    block
+        report.plan_subscribers_max,
+        instances.len(),
+        report.throughput(),
+    )
 }
 
 /// Merges a named top-level block into `BENCH_engine.json`, replacing

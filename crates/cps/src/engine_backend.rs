@@ -466,8 +466,7 @@ impl EnginePump {
         let world = scenario_world_bounds(config, app);
         let mut engine_config = EngineConfig::new(world)
             .with_shards(shards)
-            .with_batch_size(1)
-            .with_plan_sharing(config.plan_sharing);
+            .with_batch_size(1);
         if deterministic {
             engine_config = engine_config.deterministic();
         }

@@ -118,13 +118,6 @@ pub struct ScenarioConfig {
     pub duration: Duration,
     /// Which evaluation path serves the sink/CCU layers.
     pub backend: EvalBackend,
-    /// Dedupe structurally identical station subscriptions into shared
-    /// detector plans (engine backend only; the DES evaluates per
-    /// subscription regardless). On by default: deterministic runs are
-    /// bit-identical with sharing on or off, so this is purely a
-    /// memory/throughput lever for mega-tenancy scenarios. Turn it off
-    /// to A/B the sharing layer itself.
-    pub plan_sharing: bool,
     /// Record the station evaluation stream to per-shard write-ahead
     /// logs under this directory (engine backend only): every instance
     /// and silence probe the stations evaluate becomes durable, so the
@@ -197,7 +190,6 @@ impl Default for ScenarioConfig {
             db_retention: Duration::new(3_600_000),
             duration: Duration::new(60_000),
             backend: EvalBackend::Des,
-            plan_sharing: true,
             record_dir: None,
             checkpoint_every_ticks: None,
             telemetry_dir: None,

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 use stem_core::{ColumnarBatch, EventId, EventInstance, Layer};
-use stem_spatial::{Point, SpatialExtent};
+use stem_spatial::Point;
 use stem_temporal::TimePoint;
 
 /// How a routed instance travels to its shard.
@@ -67,16 +67,6 @@ impl ItemPayload {
         }
     }
 
-    /// The estimated occurrence location `l^eo`.
-    #[must_use]
-    pub fn estimated_location(&self) -> &SpatialExtent {
-        match self {
-            ItemPayload::Owned(instance) => instance.estimated_location(),
-            ItemPayload::Shared(instance) => instance.estimated_location(),
-            ItemPayload::Columnar(batch, row) => batch.estimated_location(*row as usize),
-        }
-    }
-
     /// A standalone copy of the instance (clone for owned payloads,
     /// materialization for columnar rows — bit-identical either way).
     #[must_use]
@@ -85,20 +75,6 @@ impl ItemPayload {
             ItemPayload::Owned(instance) => instance.clone(),
             ItemPayload::Shared(instance) => EventInstance::clone(instance),
             ItemPayload::Columnar(batch, row) => batch.materialize(*row as usize),
-        }
-    }
-
-    /// Consumes the payload into a standalone instance (move for owned
-    /// payloads — and for the last live handle of a shared one —
-    /// materialization for columnar rows).
-    #[must_use]
-    pub fn into_instance(self) -> EventInstance {
-        match self {
-            ItemPayload::Owned(instance) => instance,
-            ItemPayload::Shared(instance) => {
-                Arc::try_unwrap(instance).unwrap_or_else(|arc| EventInstance::clone(&arc))
-            }
-            ItemPayload::Columnar(batch, row) => batch.materialize(row as usize),
         }
     }
 }
@@ -180,19 +156,4 @@ pub struct Batch {
     /// queue (0 with tracing off): the `enqueue` stage stamp shared by
     /// every item in the batch.
     pub enqueue: u64,
-}
-
-impl Batch {
-    /// Number of instances in the batch.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Whether the batch carries no instances (it may still carry a
-    /// heartbeat).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.instances.is_empty()
-    }
 }

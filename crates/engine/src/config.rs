@@ -195,18 +195,6 @@ pub enum TracePolicy {
     NotificationsOnly,
 }
 
-/// What the router does when a shard's bounded input queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Block the ingesting thread until the shard drains (lossless; the
-    /// default). Throughput degrades, correctness does not.
-    Block,
-    /// Drop the batch being handed off and count it in
-    /// [`crate::RouterMetrics::dropped_backpressure`] (lossy; for
-    /// best-effort telemetry feeds where freshness beats completeness).
-    DropNewest,
-}
-
 /// How shard workers execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
@@ -259,10 +247,10 @@ pub struct EngineConfig {
     /// Reorder slack: how far behind the maximum seen generation time
     /// the per-shard watermark trails (see [`stem_cep::ReorderBuffer`]).
     pub watermark_slack: Duration,
-    /// Bounded steal-queue depth per shard, in batches.
+    /// Bounded steal-queue depth per shard, in batches. A full queue
+    /// blocks the ingesting thread until the shard drains (or drains it
+    /// inline): backpressure is lossless.
     pub queue_capacity: usize,
-    /// Full-queue behaviour.
-    pub backpressure: BackpressurePolicy,
     /// Threaded or inline-deterministic execution.
     pub mode: ExecutionMode,
     /// Whether the ingest stream is journaled to a write-ahead log.
@@ -276,20 +264,11 @@ pub struct EngineConfig {
     /// [`CheckpointPolicy`]). With checkpoints on, recovery loads the
     /// newest valid snapshot per shard and replays only the WAL tail
     /// past it, and log segments behind the retained snapshots are
-    /// retired — bounded-time recovery and bounded disk.
+    /// retired — bounded-time recovery and bounded disk. Each shard keeps
+    /// its two newest snapshot epochs: compaction stops at the older
+    /// one, so a torn newest snapshot still falls back to the previous
+    /// one plus its log tail.
     pub checkpoint: CheckpointPolicy,
-    /// Snapshot epochs kept per shard (>= 2). The compaction bound is
-    /// the *oldest retained* snapshot, so a torn newest snapshot can
-    /// still fall back to the previous one plus its log tail.
-    pub snapshot_retain: usize,
-    /// Number of subscription scopes resident on one home shard before
-    /// the router's precision pass switches from the linear exact-scope
-    /// scan to a per-shard BVH over the scope rectangles (see
-    /// [`crate::RouterMetrics::bvh_nodes_visited`]). `0` always uses
-    /// the BVH; a huge value effectively disables it. Both sides answer
-    /// identically — the threshold only trades build cost against scan
-    /// cost.
-    pub interest_bvh_threshold: usize,
     /// Whether (and how often) the telemetry registry is sampled (see
     /// [`TelemetryPolicy`]). Off by default.
     pub telemetry: TelemetryPolicy,
@@ -313,16 +292,6 @@ pub struct EngineConfig {
     /// Extra watchdog rules evaluated alongside the built-in set
     /// ([`stem_watch::builtin_watchers`]) when watch is enabled.
     pub watch_specs: Vec<stem_watch::WatchSpec>,
-    /// Whether structurally identical subscriptions share one detector
-    /// plan (on by default). At registration each subscription is
-    /// canonicalized into a plan key — its evaluation-relevant shape
-    /// with subscriber identity abstracted out — and subscriptions with
-    /// equal keys collapse onto ONE detector instance whose output fans
-    /// out to every subscriber. Deliveries are bit-identical either
-    /// way; `false` forces the pre-sharing one-detector-per-subscription
-    /// layout (every plan gets exactly one subscriber), which the
-    /// equivalence suite uses as the reference.
-    pub plan_sharing: bool,
 }
 
 impl EngineConfig {
@@ -336,30 +305,18 @@ impl EngineConfig {
             batch_size: 128,
             watermark_slack: Duration::ZERO,
             queue_capacity: 64,
-            backpressure: BackpressurePolicy::Block,
             mode: ExecutionMode::Threaded,
             durability: Durability::None,
             wal_segment_bytes: 8 << 20,
             wal_checkpoint_every: 1024,
             checkpoint: CheckpointPolicy::Never,
-            snapshot_retain: 2,
-            interest_bvh_threshold: 16,
             telemetry: TelemetryPolicy::Off,
             trace: TracePolicy::NotificationsOnly,
             trace_ring: 1024,
             trace_export: None,
             watch: WatchPolicy::Off,
             watch_specs: Vec::new(),
-            plan_sharing: true,
         }
-    }
-
-    /// Enables or disables shared detector plans (see
-    /// [`EngineConfig::plan_sharing`]).
-    #[must_use]
-    pub fn with_plan_sharing(mut self, sharing: bool) -> Self {
-        self.plan_sharing = sharing;
-        self
     }
 
     /// Sets the self-monitoring watch policy (requires sampled
@@ -445,21 +402,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets how many snapshot epochs are retained per shard (>= 2).
-    #[must_use]
-    pub fn with_snapshot_retain(mut self, epochs: usize) -> Self {
-        self.snapshot_retain = epochs;
-        self
-    }
-
-    /// Sets the per-shard interest count at which the router's
-    /// precision pass switches to the BVH index.
-    #[must_use]
-    pub fn with_interest_bvh_threshold(mut self, interests: usize) -> Self {
-        self.interest_bvh_threshold = interests;
-        self
-    }
-
     /// Sets the shard count (used exactly as given; see
     /// [`EngineConfig::shard_count`] for how the power-of-two leaf grid
     /// behind it is sized).
@@ -487,13 +429,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_queue_capacity(mut self, batches: usize) -> Self {
         self.queue_capacity = batches;
-        self
-    }
-
-    /// Sets the backpressure policy.
-    #[must_use]
-    pub fn with_backpressure(mut self, policy: BackpressurePolicy) -> Self {
-        self.backpressure = policy;
         self
     }
 
@@ -547,9 +482,6 @@ impl EngineConfig {
                 );
             }
             _ => {}
-        }
-        if self.checkpoint != CheckpointPolicy::Never && self.snapshot_retain < 2 {
-            problems.push("snapshot_retain must be >= 2 (compaction fallback safety)".to_string());
         }
         if let TelemetryPolicy::Sampled {
             every_batches,
@@ -635,7 +567,7 @@ mod tests {
         for shards in [1, 3, 5, 6, 7, 12, 63] {
             let cfg = EngineConfig::new(bounds()).with_shards(shards);
             assert!(cfg.validate().is_empty());
-            let map = crate::ShardMap::build(cfg.world_bounds, cfg.shard_count);
+            let map = crate::shard_map::ShardMap::build(cfg.world_bounds, cfg.shard_count);
             assert_eq!(map.shard_count(), shards, "count silently adjusted");
             assert!(map.leaf_count().is_power_of_two());
             assert!(map.leaf_count() >= 4 * shards);
@@ -663,12 +595,6 @@ mod tests {
                 .with_checkpoint(policy);
             assert!(cfg.validate().iter().any(|p| p.contains("cadence")));
         }
-        // Unsafe retention is rejected when checkpointing.
-        let cfg = EngineConfig::new(bounds())
-            .with_wal("/tmp/some-wal")
-            .with_checkpoint(CheckpointPolicy::EveryTicks(100))
-            .with_snapshot_retain(1);
-        assert!(cfg.validate().iter().any(|p| p.contains("snapshot_retain")));
         // A well-formed checkpoint configuration passes.
         let cfg = EngineConfig::new(bounds())
             .with_wal("/tmp/some-wal")

@@ -2,8 +2,8 @@
 //! crash recovery.
 
 use crate::config::{
-    BackpressurePolicy, CheckpointPolicy, Durability, EngineConfig, ExecutionMode, ShardId,
-    TelemetryPolicy, TracePolicy, WatchPolicy,
+    CheckpointPolicy, Durability, EngineConfig, ExecutionMode, ShardId, TelemetryPolicy,
+    TracePolicy, WatchPolicy,
 };
 use crate::metrics::EngineReport;
 use crate::plan::{plan_key, PlanId};
@@ -12,7 +12,7 @@ use crate::shard_map::ShardMap;
 use crate::slot::ShardSlot;
 use crate::subscription::{Subscription, SubscriptionId};
 use crate::trace::{FlightRing, TraceHandle, TraceReport, WorkerTrace};
-use crate::worker::{ShardMessage, ShardWorker, SnapContext, SubscriptionState, WorkerObs};
+use crate::worker::{ShardMessage, ShardWorker, SubscriptionState, WorkerObs};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -161,12 +161,7 @@ impl Engine {
         // shard's write-ahead log; without it the router may drop
         // deliveries nothing subscribes to at enqueue time.
         let retain_owner = matches!(config.durability, Durability::Wal { .. });
-        let mut router = ShardRouter::new(
-            map,
-            config.batch_size,
-            config.interest_bvh_threshold,
-            retain_owner,
-        );
+        let mut router = ShardRouter::new(map, config.batch_size, retain_owner);
         // The trace clock mirrors the telemetry clock split: wall nanos
         // in threaded mode, one shared virtual counter in deterministic
         // mode so stage stamps are bit-reproducible.
@@ -201,17 +196,14 @@ impl Engine {
             )),
         };
         let make_worker = |shard: ShardId| {
-            let (wal, snap) = match &config.durability {
+            let (wal, snap_dir) = match &config.durability {
                 Durability::None => (None, None),
                 Durability::Wal { dir, fsync } => (
                     Some(
                         ShardWal::open(dir, shard, config.wal_segment_bytes, *fsync)
                             .unwrap_or_else(|e| panic!("open wal for shard {shard}: {e}")),
                     ),
-                    Some(SnapContext {
-                        dir: dir.clone(),
-                        retain: config.snapshot_retain.max(2),
-                    }),
+                    Some(dir.clone()),
                 ),
             };
             let worker_obs = registry
@@ -228,7 +220,7 @@ impl Engine {
                 shard,
                 config.watermark_slack,
                 wal,
-                snap,
+                snap_dir,
                 config.wal_checkpoint_every,
                 worker_obs,
                 worker_trace,
@@ -474,7 +466,7 @@ impl Engine {
         self.next_subscription += 1;
         let scope = subscription.routing_scope().clone();
         let home = self.router.home_for(&scope, subscription.home_hint);
-        let key = plan_key(&subscription, home, self.config.plan_sharing, id);
+        let key = plan_key(&subscription, home, id);
         let plan = match self.plan_keys.get(&key) {
             Some(&plan) => {
                 // Join an existing plan: one more subscriber on the
@@ -1270,8 +1262,8 @@ impl Engine {
         }
     }
 
-    /// Hands the pending batch for `shard` to its worker, honouring the
-    /// backpressure policy. A batch that would carry neither instances
+    /// Hands the pending batch for `shard` to its worker (blocking while
+    /// the shard's queue is full). A batch that would carry neither instances
     /// nor a heartbeat the shard hasn't already seen is not cut at all
     /// — and a heartbeat-*only* batch is suppressed entirely when the
     /// shard is idle and holds nothing reordering: advancing an empty
@@ -1308,24 +1300,7 @@ impl Engine {
         self.sent_msgs[shard] += 1;
         match &mut self.backend {
             Backend::Inline(workers) => workers[shard].handle(message),
-            Backend::Threaded { slots, .. } => match self.config.backpressure {
-                BackpressurePolicy::Block => slots[shard].send(message),
-                BackpressurePolicy::DropNewest => {
-                    if let Err(dropped) = slots[shard].try_send(message) {
-                        // Control messages are never dropped: losing a
-                        // Subscribe/Unsubscribe would silently change
-                        // semantics, so block for those.
-                        if matches!(dropped, ShardMessage::Batch(_)) {
-                            self.router.note_dropped_batch();
-                            // Never delivered: keep the barrier and
-                            // queue-depth arithmetic honest.
-                            self.sent_msgs[shard] -= 1;
-                        } else {
-                            slots[shard].send(dropped);
-                        }
-                    }
-                }
-            },
+            Backend::Threaded { slots, .. } => slots[shard].send(message),
         }
     }
 }

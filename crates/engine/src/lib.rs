@@ -21,7 +21,7 @@
 //!                                                     sustained evaluation
 //! ```
 //!
-//! * The [`ShardMap`] partitions the world plane into quadtree leaves
+//! * The shard map partitions the world plane into quadtree leaves
 //!   (depth chosen from the shard count) and assigns contiguous Z-order
 //!   runs of leaves to shards, so each shard owns a compact region.
 //! * The router forwards each instance to every shard that is home to a
@@ -96,15 +96,12 @@ mod subscription;
 mod trace;
 mod worker;
 
-pub use batch::{Batch, ItemTrace};
 pub use config::{
-    BackpressurePolicy, CheckpointPolicy, Durability, EngineConfig, ExecutionMode, ShardId,
-    TelemetryPolicy, TracePolicy, WatchPolicy,
+    CheckpointPolicy, Durability, EngineConfig, ExecutionMode, ShardId, TelemetryPolicy,
+    TracePolicy, WatchPolicy,
 };
 pub use engine::{Engine, RecoverError, Recovery, RecoveryStats};
 pub use metrics::{EngineReport, RouterMetrics, ShardMetrics, SnapMetrics, WalMetrics};
-pub use router::ShardRouter;
-pub use shard_map::ShardMap;
 pub use stem_core::{Constituent, DropVerdict, Provenance, StageStamps, TraceClock, TraceId};
 pub use stem_wal::FsyncPolicy;
 pub use stem_watch::{
@@ -114,4 +111,4 @@ pub use subscription::{
     Collector, EventSink, Notification, NotificationKind, PatternSpec, SilenceSpec, Subscription,
     SubscriptionId, SustainedSpec, SustainedValue,
 };
-pub use trace::{FlightRing, TraceHandle, TraceReport, WorkerTrace};
+pub use trace::{TraceHandle, TraceReport};

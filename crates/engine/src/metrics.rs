@@ -138,13 +138,15 @@ pub struct RouterMetrics {
     /// world bounds — the ones sharding can actually prune for.
     pub scoped_subscriptions: u64,
     /// BVH nodes visited by precision-pass point queries (zero while
-    /// every home shard's interest count is below the
-    /// [`crate::EngineConfig::interest_bvh_threshold`] and the linear
-    /// scan serves instead).
+    /// every home shard holds fewer than 16 plan interests and the
+    /// linear scan serves instead).
     pub bvh_nodes_visited: u64,
     /// Batches handed off.
     pub batches_sent: u64,
-    /// Batches dropped by [`crate::BackpressurePolicy::DropNewest`].
+    /// Batches dropped under backpressure. Always 0: a full shard queue
+    /// blocks the ingesting thread, it never drops. The field stays
+    /// because external consumers (the `benchmark/` harness) count it
+    /// as failed work.
     pub dropped_backpressure: u64,
     /// Heartbeat-only flushes elided because the target shard was idle
     /// and held nothing reordering — cross-thread traffic the wait-free

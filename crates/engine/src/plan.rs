@@ -13,7 +13,8 @@
 //! sustained shape, home shard) with subscriber identity (name, sink,
 //! delivered count) abstracted out — and subscriptions with equal keys
 //! share ONE detector instance in the shard worker, fanning its output
-//! out to a subscriber list.
+//! out to a subscriber list. Every subscription is a plan; one that
+//! cannot share is simply a plan with one subscriber.
 //!
 //! What does *not* dedupe, and why:
 //!
@@ -32,11 +33,12 @@
 //!   and is re-checked per subscriber at fan-out instead.
 //!
 //! Sharing is correctness-preserving: a plan's home shard is computed
-//! exactly as the unshared home would be, evaluation outputs are
-//! memoized per instance and fanned out in subscriber registration
-//! order, and per-subscriber scope gates reproduce the unshared prune
-//! decisions — so deliveries (content, order, and `Notification::shard`)
-//! are bit-identical with sharing on or off.
+//! from the subscription alone before the key is looked up, evaluation
+//! outputs are memoized per instance and fanned out in subscriber
+//! registration order, and per-subscriber scope gates reproduce each
+//! subscription's own prune decisions — so every subscriber receives
+//! exactly what it would receive registered alone (content, order, and
+//! `Notification::shard`).
 
 use crate::config::ShardId;
 use crate::subscription::{Subscription, SubscriptionId};
@@ -62,17 +64,9 @@ impl fmt::Display for PlanId {
 
 /// Canonicalizes a subscription into its plan key. Subscriptions with
 /// equal keys are evaluation-equivalent and share one detector; a
-/// non-shareable subscription (or any subscription with `sharing`
-/// off) gets a key unique to its id, i.e. a plan with one subscriber.
-pub(crate) fn plan_key(
-    sub: &Subscription,
-    home: ShardId,
-    sharing: bool,
-    id: SubscriptionId,
-) -> String {
-    if !sharing {
-        return format!("unshared:{}", id.raw());
-    }
+/// non-shareable subscription gets a key unique to its id, i.e. a plan
+/// with one subscriber.
+pub(crate) fn plan_key(sub: &Subscription, home: ShardId, id: SubscriptionId) -> String {
     if sub.pattern.is_some() && sub.observer.is_none() {
         // The default observer identity is keyed by subscription id, so
         // derived instances differ per subscriber.
@@ -147,16 +141,16 @@ mod tests {
 
     #[test]
     fn identical_plain_templates_share_regardless_of_name_and_sink() {
-        let a = plan_key(&plain("station-1"), 0, true, SubscriptionId(0));
-        let b = plan_key(&plain("station-2"), 0, true, SubscriptionId(1));
+        let a = plan_key(&plain("station-1"), 0, SubscriptionId(0));
+        let b = plan_key(&plain("station-2"), 0, SubscriptionId(1));
         assert_eq!(a, b, "name and sink are subscriber identity, not template");
     }
 
     #[test]
-    fn condition_region_home_and_sharing_flag_all_split_plans() {
-        let base = plan_key(&plain("s"), 0, true, SubscriptionId(0));
+    fn condition_region_and_home_all_split_plans() {
+        let base = plan_key(&plain("s"), 0, SubscriptionId(0));
         let cold = plain("s").when(dsl::parse("x.temp > 90").unwrap());
-        assert_ne!(base, plan_key(&cold, 0, true, SubscriptionId(1)));
+        assert_ne!(base, plan_key(&cold, 0, SubscriptionId(1)));
         let elsewhere = Subscription::new(
             "s",
             SpatialExtent::field(Field::circle(Circle::new(Point::new(70.0, 70.0), 20.0))),
@@ -164,11 +158,8 @@ mod tests {
         )
         .for_event("reading")
         .when(dsl::parse("x.temp > 45").unwrap());
-        assert_ne!(base, plan_key(&elsewhere, 0, true, SubscriptionId(2)));
-        assert_ne!(base, plan_key(&plain("s"), 1, true, SubscriptionId(3)));
-        let off_a = plan_key(&plain("s"), 0, false, SubscriptionId(0));
-        let off_b = plan_key(&plain("s"), 0, false, SubscriptionId(1));
-        assert_ne!(off_a, off_b, "sharing off makes every key unique");
+        assert_ne!(base, plan_key(&elsewhere, 0, SubscriptionId(2)));
+        assert_ne!(base, plan_key(&plain("s"), 1, SubscriptionId(3)));
     }
 
     #[test]
@@ -179,7 +170,7 @@ mod tests {
                 ConsumptionMode::Chronicle,
                 None,
             );
-            plan_key(&sub, 0, true, SubscriptionId(i))
+            plan_key(&sub, 0, SubscriptionId(i))
         };
         assert_ne!(pat(0), pat(1), "default observer is keyed by id");
 
@@ -195,7 +186,7 @@ mod tests {
                     Point::new(30.0, 30.0),
                     1.0,
                 ));
-            plan_key(&sub, 0, true, SubscriptionId(i))
+            plan_key(&sub, 0, SubscriptionId(i))
         };
         assert_eq!(observed(0), observed(1), "explicit observer shares");
 
@@ -206,7 +197,7 @@ mod tests {
                 negate: false,
                 silence,
             });
-            plan_key(&sub, 0, true, SubscriptionId(i))
+            plan_key(&sub, 0, SubscriptionId(i))
         };
         let quiet = Some(SilenceSpec {
             timeout: Duration::new(30),

@@ -63,7 +63,8 @@ pub struct ShardRouter {
     /// index = position in `interests[shard]`). `None` = linear scan.
     bvhs: Vec<Option<Bvh>>,
     /// Interest count per home shard at which the precision pass
-    /// switches to the BVH.
+    /// switches to the BVH ([`ShardRouter::BVH_THRESHOLD`] outside the
+    /// unit tests, which pin each side).
     bvh_threshold: usize,
     /// Candidate buffer reused across BVH point queries.
     scratch: Vec<u32>,
@@ -107,16 +108,31 @@ impl ShardRouter {
     /// actual bounding box instead of whole shard territories.
     const INTEREST_DEPTH: u32 = 6;
 
+    /// Resident plan interests on one home shard at which the precision
+    /// pass switches from the linear exact-scope scan to the per-shard
+    /// BVH. The router picks the side from the count it observes, and
+    /// both sides answer identically: the threshold only trades index
+    /// build cost against scan cost.
+    const BVH_THRESHOLD: usize = 16;
+
     /// Creates a router over `map`, flushing batches at `batch_size`.
-    /// `bvh_threshold` is the per-home-shard interest count at which
-    /// the precision pass switches from the linear exact-scope scan to
-    /// the BVH index (see
-    /// [`crate::EngineConfig::interest_bvh_threshold`]). `retain_owner`
-    /// keeps the territorial-owner delivery even for instances no
-    /// subscription covers (durable-logging mode; see
+    /// `retain_owner` keeps the territorial-owner delivery even for
+    /// instances no subscription covers (durable-logging mode; see
     /// [`ShardRouter::target_mask`]).
     #[must_use]
-    pub fn new(map: ShardMap, batch_size: usize, bvh_threshold: usize, retain_owner: bool) -> Self {
+    pub(crate) fn new(map: ShardMap, batch_size: usize, retain_owner: bool) -> Self {
+        Self::with_bvh_threshold(map, batch_size, Self::BVH_THRESHOLD, retain_owner)
+    }
+
+    /// [`ShardRouter::new`] with an explicit BVH switch-over count, so
+    /// tests can force either side of the precision pass (`0` always
+    /// uses the BVH, `usize::MAX` never does).
+    fn with_bvh_threshold(
+        map: ShardMap,
+        batch_size: usize,
+        bvh_threshold: usize,
+        retain_owner: bool,
+    ) -> Self {
         let shards = map.shard_count();
         let interest_grid = Grid::new(map.bounds(), Self::INTEREST_DEPTH);
         let leaves = interest_grid.leaf_count();
@@ -146,8 +162,8 @@ impl ShardRouter {
     }
 
     /// The shard map in use.
-    #[must_use]
-    pub fn map(&self) -> &ShardMap {
+    #[cfg(test)]
+    fn map(&self) -> &ShardMap {
         &self.map
     }
 
@@ -373,23 +389,13 @@ impl ShardRouter {
     }
 
     /// Routes one instance into the per-shard pending batches and
-    /// returns the shards whose batch just reached the flush threshold.
-    pub fn route(&mut self, instance: EventInstance) -> Vec<ShardId> {
-        self.route_at(instance, None)
-    }
-
-    /// Like [`ShardRouter::route`], with an explicit observer-local
-    /// evaluation time used as the stream-clock sample and the shard
-    /// reorder key (`None` = the instance's generation time).
-    pub fn route_at(
-        &mut self,
-        instance: EventInstance,
-        eval_at: Option<TimePoint>,
-    ) -> Vec<ShardId> {
-        // Direct router callers did not stamp an engine-entry time:
-        // the ingest stage collapses onto the route stamp.
+    /// returns the shards whose batch just reached the flush threshold
+    /// (a test helper: the engine stamps its own ingest time and calls
+    /// [`ShardRouter::route_at_traced`]).
+    #[cfg(test)]
+    fn route(&mut self, instance: EventInstance) -> Vec<ShardId> {
         let ingest = self.trace_stamp();
-        self.route_at_traced(instance, eval_at, ingest)
+        self.route_at_traced(instance, None, ingest)
     }
 
     /// A trace-clock stamp, or 0 with tracing off.
@@ -397,9 +403,13 @@ impl ShardRouter {
         self.trace_clock.as_ref().map_or(0, |c| c.now())
     }
 
-    /// [`ShardRouter::route_at`] with an explicit engine-entry ingest
-    /// stamp (the engine samples it before routing so `ingest <= route`
-    /// reflects real queueing between the two).
+    /// Routes one instance into the per-shard pending batches and
+    /// returns the shards whose batch just reached the flush threshold.
+    /// `eval_at` is an explicit observer-local evaluation time used as
+    /// the stream-clock sample and the shard reorder key (`None` = the
+    /// instance's generation time); `ingest` is the engine-entry stamp
+    /// (sampled before routing so `ingest <= route` reflects real
+    /// queueing between the two).
     pub(crate) fn route_at_traced(
         &mut self,
         instance: EventInstance,
@@ -449,7 +459,8 @@ impl ShardRouter {
     ///
     /// Sequence numbers, prefix high-water stamps, and the target
     /// selection (leaf mask + precision pass) are identical to routing
-    /// the same instances one at a time through [`ShardRouter::route`].
+    /// the same instances one at a time through
+    /// [`ShardRouter::route_at_traced`].
     /// Returns the shards whose pending batch reached the flush
     /// threshold, deduplicated, in shard order.
     pub fn route_batch(&mut self, batch: &Arc<ColumnarBatch>) -> Vec<ShardId> {
@@ -613,19 +624,6 @@ impl ShardRouter {
         self.pending[shard].len()
     }
 
-    /// Shards that still hold pending instances.
-    #[must_use]
-    pub fn pending_shards(&self) -> Vec<ShardId> {
-        (0..self.pending.len())
-            .filter(|&s| !self.pending[s].is_empty())
-            .collect()
-    }
-
-    /// Records a batch lost to backpressure.
-    pub(crate) fn note_dropped_batch(&mut self) {
-        self.metrics.dropped_backpressure += 1;
-    }
-
     /// Records a heartbeat-only flush elided because its target shard
     /// was idle and held nothing reordering.
     pub(crate) fn note_suppressed_heartbeat(&mut self) {
@@ -648,15 +646,19 @@ impl ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use stem_core::{EventId, EventInstance, Layer, MoteId, ObserverId};
-    use stem_spatial::Field;
+    use stem_spatial::{Circle, Field};
 
-    fn router(shards: usize, bvh_threshold: usize) -> ShardRouter {
-        let map = ShardMap::build(
+    fn world(shards: usize) -> ShardMap {
+        ShardMap::build(
             Rect::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0)),
             shards,
-        );
-        ShardRouter::new(map, 1, bvh_threshold, true)
+        )
+    }
+
+    fn router(shards: usize, bvh_threshold: usize) -> ShardRouter {
+        ShardRouter::with_bvh_threshold(world(shards), 1, bvh_threshold, true)
     }
 
     fn inst(t: u64, x: f64, y: f64) -> EventInstance {
@@ -782,5 +784,50 @@ mod tests {
         ));
         assert_eq!(shared.unsubscribe(PlanId(0)), Some(0));
         assert!(shared.home_of(PlanId(0)).is_none());
+    }
+
+    proptest! {
+        /// BVH-backed routing is indistinguishable from the linear
+        /// exact-scope scan: the same targets for every instance, the
+        /// same fanout and `precision_skipped`, across random scope sets
+        /// and streams — only the traversal-cost counter differs. The
+        /// linear and BVH sides are each forced through the threshold;
+        /// the default router picks its side from the count it sees.
+        #[test]
+        fn bvh_routing_matches_linear_scan(
+            regions in proptest::collection::vec(
+                (0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0), 1..24),
+            points in proptest::collection::vec(
+                (0.0f64..100.0, 0.0f64..100.0), 1..120),
+            shards in 1usize..5,
+            retain_owner in proptest::bool::ANY,
+        ) {
+            let mut linear =
+                ShardRouter::with_bvh_threshold(world(shards), 1, usize::MAX, retain_owner);
+            let mut bvh = ShardRouter::with_bvh_threshold(world(shards), 1, 0, retain_owner);
+            let mut default = ShardRouter::new(world(shards), 1, retain_owner);
+            for (i, &(x, y, r)) in regions.iter().enumerate() {
+                let scope = SpatialExtent::field(Field::circle(Circle::new(Point::new(x, y), r)));
+                for router in [&mut linear, &mut bvh, &mut default] {
+                    router.subscribe(PlanId(i as u64), scope.clone(), None, None);
+                }
+            }
+            prop_assert!(
+                bvh.interests.iter().zip(&bvh.bvhs).all(|(i, b)| i.is_empty() || b.is_some()),
+                "the BVH side must index every home shard"
+            );
+            for (i, &(x, y)) in points.iter().enumerate() {
+                let a = linear.route(inst(i as u64, x, y));
+                prop_assert_eq!(&a, &bvh.route(inst(i as u64, x, y)), "targets diverged");
+                prop_assert_eq!(&a, &default.route(inst(i as u64, x, y)), "targets diverged");
+            }
+            let (lm, bm, dm) = (linear.take_metrics(), bvh.take_metrics(), default.take_metrics());
+            for m in [&bm, &dm] {
+                prop_assert_eq!(lm.fanout, m.fanout);
+                prop_assert_eq!(lm.precision_skipped, m.precision_skipped);
+                prop_assert_eq!(lm.scoped_subscriptions, m.scoped_subscriptions);
+            }
+            prop_assert_eq!(lm.bvh_nodes_visited, 0, "the linear side never descends");
+        }
     }
 }

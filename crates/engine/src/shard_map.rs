@@ -67,22 +67,9 @@ impl Grid {
         self.z_index(ix, iy)
     }
 
-    /// The Z-order leaf indices intersecting `rect`.
-    pub(crate) fn leaves_for_rect(&self, rect: &Rect) -> Vec<usize> {
-        let (lo_x, lo_y) = self.cell_of(rect.min());
-        let (hi_x, hi_y) = self.cell_of(rect.max());
-        let mut leaves = Vec::new();
-        for iy in lo_y..=hi_y {
-            for ix in lo_x..=hi_x {
-                leaves.push(self.z_index(ix, iy));
-            }
-        }
-        leaves
-    }
-
-    /// Like [`Grid::leaves_for_rect`], each leaf paired with its cell
-    /// rectangle (closed bounds, so points sitting exactly on a cell
-    /// edge test as inside the cell they floor into).
+    /// The Z-order leaf indices intersecting `rect`, each paired with
+    /// its cell rectangle (closed bounds, so points sitting exactly on a
+    /// cell edge test as inside the cell they floor into).
     pub(crate) fn leaf_rects_for_rect(&self, rect: &Rect) -> Vec<(usize, Rect)> {
         let side = 1u32 << self.depth;
         let w = self.bounds.width() / f64::from(side);
@@ -197,16 +184,6 @@ impl ShardMap {
         self.shard_of_leaf(self.grid.leaf_for_point(p))
     }
 
-    /// All shards whose territory intersects `rect`, ascending, deduped.
-    #[must_use]
-    pub fn shards_for_rect(&self, rect: &Rect) -> Vec<ShardId> {
-        let mut hit = vec![false; self.shards];
-        for leaf in self.grid.leaves_for_rect(rect) {
-            hit[self.shard_of_leaf(leaf)] = true;
-        }
-        (0..self.shards).filter(|&s| hit[s]).collect()
-    }
-
     /// The quadtree leaves assigned to `shard` (for introspection and
     /// balance diagnostics), as rectangles.
     #[must_use]
@@ -249,10 +226,6 @@ mod tests {
         let m = map(1);
         assert_eq!(m.shard_for_point(Point::new(1.0, 1.0)), 0);
         assert_eq!(m.shard_for_point(Point::new(99.0, 99.0)), 0);
-        assert_eq!(
-            m.shards_for_rect(&Rect::new(Point::new(10.0, 10.0), Point::new(20.0, 20.0))),
-            vec![0]
-        );
     }
 
     #[test]
@@ -328,23 +301,6 @@ mod tests {
         assert_eq!(m.shard_for_point(Point::new(-50.0, -50.0)), inside);
         let far = m.shard_for_point(Point::new(1e9, 1e9));
         assert!(far < 4);
-    }
-
-    #[test]
-    fn rect_query_matches_point_membership() {
-        let m = map(8);
-        let rect = Rect::new(Point::new(10.0, 10.0), Point::new(60.0, 35.0));
-        let shards = m.shards_for_rect(&rect);
-        // Every sampled point inside the rect routes to a listed shard.
-        for i in 0..50 {
-            for j in 0..50 {
-                let p = Point::new(
-                    10.0 + 50.0 * f64::from(i) / 49.0,
-                    10.0 + 25.0 * f64::from(j) / 49.0,
-                );
-                assert!(shards.contains(&m.shard_for_point(p)), "{p:?}");
-            }
-        }
     }
 
     #[test]

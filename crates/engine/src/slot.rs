@@ -117,21 +117,6 @@ impl ShardSlot {
         }
     }
 
-    /// Enqueues a message unless the queue is at capacity (the
-    /// `DropNewest` backpressure probe): a full queue wakes the worker
-    /// and hands the message back for the caller to drop or force
-    /// through.
-    pub(crate) fn try_send(&self, message: ShardMessage) -> Result<(), ShardMessage> {
-        let mut q = self.queue.lock().expect("shard worker panicked");
-        if q.messages.len() >= self.capacity {
-            drop(q);
-            self.not_empty.notify_one();
-            return Err(message);
-        }
-        q.messages.push_back(message);
-        Ok(())
-    }
-
     /// Closes the queue: the worker thread drains what is left, runs
     /// [`ShardWorker::finish`], and returns its metrics.
     pub(crate) fn close(&self) {

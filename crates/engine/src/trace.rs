@@ -57,18 +57,6 @@ impl FlightRing {
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
-
-    /// Number of retained records.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the ring holds nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
 }
 
 /// Bound on remembered drop verdicts between notifications: a burst of
@@ -234,7 +222,6 @@ mod tests {
         ring.push(rec(0));
         ring.push(rec(1));
         ring.push(rec(2));
-        assert_eq!(ring.len(), 2);
         assert_eq!(ring.evicted(), 1);
         let kept: Vec<u64> = ring
             .snapshot()

@@ -57,16 +57,10 @@ impl WorkerObs {
     }
 }
 
-/// Where a shard writes its checkpoint snapshots and how many epochs it
-/// retains (present whenever the engine has a WAL — manual checkpoints
-/// work even under [`crate::CheckpointPolicy::Never`]).
-#[derive(Debug, Clone)]
-pub(crate) struct SnapContext {
-    /// The snapshot directory (shared with the WAL).
-    pub dir: PathBuf,
-    /// Snapshot epochs retained per shard (>= 2).
-    pub retain: usize,
-}
+/// Snapshot epochs each shard keeps. Compaction stops at the *oldest*
+/// retained snapshot, so two is the least that lets a snapshot torn
+/// mid-write fall back to the previous epoch plus its log tail.
+const SNAPSHOT_RETAIN: usize = 2;
 
 /// What travels over a shard's input channel.
 pub(crate) enum ShardMessage {
@@ -179,9 +173,9 @@ enum EvalKind {
 /// delivered count).
 pub(crate) struct SubscriptionState {
     id: SubscriptionId,
-    /// The shared plan this subscription instantiates (assigned by the
-    /// engine's canonicalizer; unique per subscription with sharing
-    /// off).
+    /// The plan this subscription instantiates (assigned by the
+    /// engine's canonicalizer; a non-shareable subscription gets a plan
+    /// of its own).
     plan: PlanId,
     region: SpatialExtent,
     bbox: Rect,
@@ -331,8 +325,7 @@ impl PlanState {
 /// Owned data only — fan-out re-borrows the plan for its subscriber
 /// rows after evaluation releases the detector.
 enum PlanOutcome {
-    /// Evaluation errored (counted per subscriber, like the unshared
-    /// pipeline did).
+    /// Evaluation errored (counted once per subscriber).
     Error,
     /// A plain condition that held: deliver the instance.
     PlainPass,
@@ -546,8 +539,10 @@ pub(crate) struct ShardWorker {
     plan_index: BTreeMap<u64, usize>,
     /// The shard's write-ahead log (None without durability).
     wal: Option<ShardWal>,
-    /// Snapshot directory and retention (None without durability).
-    snap: Option<SnapContext>,
+    /// Snapshot directory, shared with the WAL (None without
+    /// durability; present whenever the engine has a WAL — manual
+    /// checkpoints work even under [`crate::CheckpointPolicy::Never`]).
+    snap_dir: Option<PathBuf>,
     /// Records between durability checkpoints.
     checkpoint_every: u64,
     /// Records appended since the last checkpoint.
@@ -601,7 +596,7 @@ impl ShardWorker {
         shard: ShardId,
         slack: Duration,
         wal: Option<ShardWal>,
-        snap: Option<SnapContext>,
+        snap_dir: Option<PathBuf>,
         checkpoint_every: u64,
         obs: Option<WorkerObs>,
         trace: Option<WorkerTrace>,
@@ -614,7 +609,7 @@ impl ShardWorker {
             plans: Vec::new(),
             plan_index: BTreeMap::new(),
             wal,
-            snap,
+            snap_dir,
             checkpoint_every: checkpoint_every.max(1),
             since_checkpoint: 0,
             durable_seq: None,
@@ -1101,10 +1096,10 @@ impl ShardWorker {
     /// Panics on filesystem failures — a checkpoint was requested and
     /// cannot be provided, the same contract as WAL appends.
     fn checkpoint(&mut self, epoch: u64, next_seq: u64, high_water: Option<TimePoint>) {
-        let Some(ctx) = self.snap.clone() else {
+        let Some(dir) = self.snap_dir.clone() else {
             return; // no durability: nothing to snapshot
         };
-        let wal = self.wal.as_mut().expect("snap context implies a wal");
+        let wal = self.wal.as_mut().expect("snap dir implies a wal");
         wal.sync()
             .unwrap_or_else(|e| panic!("shard {} wal sync at checkpoint failed: {e}", self.shard));
         let active_segment = wal.active_segment();
@@ -1130,17 +1125,17 @@ impl ShardWorker {
                 .collect(),
             state: self.snapshot_state(),
         };
-        let bytes = stem_snap::write_snapshot(&ctx.dir, &snapshot)
+        let bytes = stem_snap::write_snapshot(&dir, &snapshot)
             .unwrap_or_else(|e| panic!("shard {} snapshot write failed: {e}", self.shard));
         self.metrics.snap.snapshots_written += 1;
         self.metrics.snap.snapshot_bytes += bytes;
         // Retention, then compaction behind the *oldest retained*
         // snapshot — never the one just written, so a torn next epoch
         // can still fall back.
-        let bound = stem_snap::prune_snapshots(&ctx.dir, self.shard, ctx.retain)
+        let bound = stem_snap::prune_snapshots(&dir, self.shard, SNAPSHOT_RETAIN)
             .unwrap_or_else(|e| panic!("shard {} snapshot prune failed: {e}", self.shard));
         if let Some(bound) = bound {
-            let retired = stem_wal::retire_segments_below(&ctx.dir, self.shard, bound)
+            let retired = stem_wal::retire_segments_below(&dir, self.shard, bound)
                 .unwrap_or_else(|e| panic!("shard {} wal compaction failed: {e}", self.shard));
             self.metrics.snap.segments_retired += retired;
         }
@@ -1579,9 +1574,9 @@ impl ShardWorker {
             };
             // Fan-out: re-attach this subscriber's identity (its own
             // subscription id, delivered count, provenance records) to
-            // the memoized template output. Per-subscriber counters
-            // match the unshared pipeline, which evaluated (and
-            // errored) once per subscription.
+            // the memoized template output. Counters stay
+            // per-subscriber: one evaluation (and error) per
+            // subscription, as the DES reference counts them.
             self.metrics.evaluated += 1;
             match outcome {
                 PlanOutcome::Error => self.metrics.eval_errors += 1,
@@ -2072,10 +2067,7 @@ mod tests {
         let wal = |shard| {
             Some(ShardWal::open(&dir, shard, 1 << 20, stem_wal::FsyncPolicy::Never).unwrap())
         };
-        let ctx = Some(SnapContext {
-            dir: dir.clone(),
-            retain: 2,
-        });
+        let snap = Some(dir.clone());
 
         // A live worker with watermark slack, so pushed items (and the
         // probe) are still *pending* when the checkpoint cuts.
@@ -2098,7 +2090,7 @@ mod tests {
             }),
         };
         let mut worker =
-            ShardWorker::new(0, Duration::new(50), wal(0), ctx.clone(), 1024, None, None);
+            ShardWorker::new(0, Duration::new(50), wal(0), snap.clone(), 1024, None, None);
         let sub = Subscription::new("episode", region.clone(), collector.sink())
             .sustained_spec(spec.clone());
         worker.handle(ShardMessage::Subscribe(Box::new(
@@ -2147,7 +2139,7 @@ mod tests {
         let survivor = Collector::new();
         let snapshot = stem_snap::load_latest(&dir, 0).unwrap().snapshot.unwrap();
         assert_eq!(snapshot.next_seq, 3);
-        let mut worker = ShardWorker::new(0, Duration::new(50), wal(0), ctx, 1024, None, None);
+        let mut worker = ShardWorker::new(0, Duration::new(50), wal(0), snap, 1024, None, None);
         let sub = Subscription::new("episode", region, survivor.sink()).sustained_spec(spec);
         worker.handle(ShardMessage::Subscribe(Box::new(
             SubscriptionState::compile(SubscriptionId(0), PlanId(0), sub),

@@ -3,10 +3,11 @@
 //! lifecycle edges.
 
 use stem_cep::{ConsumptionMode, Pattern, SustainedConfig, SustainedEvent};
-use stem_core::{dsl, Attributes, EventId, EventInstance, Layer, MoteId, ObserverId, SeqNo};
-use stem_engine::{
-    BackpressurePolicy, Collector, Engine, EngineConfig, NotificationKind, Subscription,
+use stem_core::{
+    dsl, Attributes, CcuId, ConditionObserver, EventId, EventInstance, Layer, MoteId, ObserverId,
+    SeqNo,
 };
+use stem_engine::{Collector, Engine, EngineConfig, NotificationKind, Subscription};
 use stem_spatial::{Circle, Field, Point, Rect, SpatialExtent};
 use stem_temporal::{Duration, TimePoint};
 
@@ -259,8 +260,7 @@ fn threaded_backpressure_block_is_lossless() {
         EngineConfig::new(bounds())
             .with_shards(2)
             .with_batch_size(4)
-            .with_queue_capacity(1)
-            .with_backpressure(BackpressurePolicy::Block),
+            .with_queue_capacity(1),
     );
     let collector = Collector::new();
     engine.subscribe(Subscription::new(
@@ -1368,54 +1368,141 @@ fn recover_separates_no_durable_state_from_io_failure() {
     let _ = std::fs::remove_file(&clobbered);
 }
 
+/// Subscriber `i` of the shared-plan oracle below. Seven subscribers,
+/// three plans: plain conditions with different scopes (0–2), patterns
+/// with one explicit observer (3–4), sustained specs without silence
+/// (5–6).
+fn oracle_subscription(i: usize, collector: &Collector) -> Subscription {
+    let sink = collector.sink();
+    match i {
+        0..=2 => {
+            // A plain plan's key leaves the scope out (each subscriber's
+            // scope is re-checked at fan-out), and the shared home hint
+            // lies inside every scope, so all three land on one home.
+            let sub = Subscription::new("hot", circle_region(40.0, 40.0, 35.0), sink)
+                .for_event("reading")
+                .when(dsl::parse("x.temp > 45").unwrap())
+                .homed_near(Point::new(40.0, 40.0));
+            match i {
+                0 => sub.scoped_to(rect_extent(0.0, 0.0, 50.0, 50.0)),
+                1 => sub.scoped_to(rect_extent(30.0, 30.0, 90.0, 90.0)),
+                _ => sub,
+            }
+        }
+        3 | 4 => Subscription::new("hot-pair", circle_region(30.0, 30.0, 25.0), sink)
+            .for_event("reading")
+            .when(dsl::parse("avg(a.temp, b.temp) > 45").unwrap())
+            .matching(
+                Pattern::atom("a", "reading").then(Pattern::atom("b", "reading")),
+                ConsumptionMode::Chronicle,
+                Some(Duration::new(100)),
+            )
+            .observed_by(ConditionObserver::new(
+                ObserverId::Ccu(CcuId::new(7)),
+                Point::new(30.0, 30.0),
+                1.0,
+            )),
+        _ => Subscription::new("warm", circle_region(60.0, 60.0, 40.0), sink)
+            .for_event("reading")
+            .sustained(
+                SustainedConfig {
+                    min_duration: Duration::new(20),
+                    enter_threshold: 45.0,
+                    exit_threshold: 40.0,
+                },
+                Some("temp".to_string()),
+            ),
+    }
+}
+
+/// The oracle for shared plans: every subscriber of a shared plan
+/// receives exactly what a fresh engine running its subscription alone
+/// delivers. Seven subscribers collapse onto three plans; in a second
+/// run the plain and pattern plans lose their first subscriber (the one
+/// whose compiled state became the plan) halfway through the stream.
+/// The leavers get a strict prefix of their solo deliveries and nobody
+/// else notices.
+#[test]
+fn shared_plan_subscribers_match_their_solo_runs() {
+    const SUBSCRIBERS: usize = 7;
+    const LEAVERS: [usize; 2] = [0, 3];
+    let stream: Vec<EventInstance> = (0..240u64)
+        .map(|i| {
+            let (x, y) = ((i * 37 % 100) as f64, (i * 61 % 100) as f64);
+            mk("reading", i, 10 * i, x, y, 30.0 + (i * 7 % 30) as f64)
+        })
+        .collect();
+    let deliveries =
+        |c: &Collector| -> Vec<_> { c.take().into_iter().map(|n| (n.shard, n.kind)).collect() };
+    for shards in [1, 4] {
+        let config = || {
+            EngineConfig::new(bounds())
+                .with_shards(shards)
+                .with_batch_size(4)
+                .deterministic()
+        };
+        let solo: Vec<_> = (0..SUBSCRIBERS)
+            .map(|i| {
+                let collector = Collector::new();
+                let mut engine = Engine::start(config());
+                engine.subscribe(oracle_subscription(i, &collector));
+                engine.ingest_all(&stream);
+                assert_eq!(engine.finish().plans_active, 1);
+                deliveries(&collector)
+            })
+            .collect();
+        for (i, d) in solo.iter().enumerate() {
+            assert!(!d.is_empty(), "subscriber {i} must deliver something alone");
+        }
+
+        for leave in [false, true] {
+            let collectors: Vec<Collector> = (0..SUBSCRIBERS).map(|_| Collector::new()).collect();
+            let mut engine = Engine::start(config());
+            let ids: Vec<_> = collectors
+                .iter()
+                .enumerate()
+                .map(|(i, c)| engine.subscribe(oracle_subscription(i, c)))
+                .collect();
+            let (head, tail) = stream.split_at(stream.len() / 2);
+            engine.ingest_all(head);
+            if leave {
+                for i in LEAVERS {
+                    assert!(engine.unsubscribe(ids[i]));
+                }
+            }
+            engine.ingest_all(tail);
+            let report = engine.finish();
+            let expected = if leave { (3, 5, 2) } else { (3, 7, 3) };
+            assert_eq!(
+                (
+                    report.plans_active,
+                    report.plan_subscribers,
+                    report.plan_subscribers_max
+                ),
+                expected,
+                "{shards} shards, leave={leave}: plans did not collapse as expected"
+            );
+            for (i, collector) in collectors.iter().enumerate() {
+                let got = deliveries(collector);
+                if leave && LEAVERS.contains(&i) {
+                    assert!(
+                        got.len() < solo[i].len() && solo[i].starts_with(&got),
+                        "{shards} shards: leaver {i} must get a strict prefix of its solo run"
+                    );
+                } else {
+                    assert_eq!(
+                        got, solo[i],
+                        "{shards} shards, leave={leave}: subscriber {i} diverged from its solo run"
+                    );
+                }
+            }
+        }
+    }
+}
+
 use proptest::prelude::*;
 
 proptest! {
-    /// BVH-backed routing is indistinguishable from the linear
-    /// exact-scope scan: same notification multiset, same fanout, same
-    /// `precision_skipped` semantics, across random region sets and
-    /// random streams — only the traversal-cost counter differs.
-    #[test]
-    fn bvh_routing_matches_linear_scan(
-        regions in proptest::collection::vec(
-            (0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0), 1..24),
-        points in proptest::collection::vec(
-            (0.0f64..100.0, 0.0f64..100.0), 1..120),
-        shards in 1usize..5,
-    ) {
-        let run = |bvh_threshold: usize| {
-            let mut engine = Engine::start(
-                EngineConfig::new(bounds())
-                    .with_shards(shards)
-                    .with_batch_size(4)
-                    .with_interest_bvh_threshold(bvh_threshold)
-                    .deterministic(),
-            );
-            let collector = Collector::new();
-            for (i, &(x, y, r)) in regions.iter().enumerate() {
-                engine.subscribe(
-                    Subscription::new(format!("r{i}"), circle_region(x, y, r), collector.sink())
-                        .for_event("reading"),
-                );
-            }
-            for (i, &(x, y)) in points.iter().enumerate() {
-                engine.ingest(mk("reading", i as u64, 10 * i as u64, x, y, 50.0));
-            }
-            let report = engine.finish();
-            (notification_multiset(collector.take()), report)
-        };
-        let (linear_notes, linear) = run(usize::MAX);
-        let (bvh_notes, bvh) = run(0);
-        prop_assert_eq!(linear_notes, bvh_notes, "delivery multisets diverged");
-        prop_assert_eq!(linear.router.fanout, bvh.router.fanout);
-        prop_assert_eq!(linear.router.precision_skipped, bvh.router.precision_skipped);
-        prop_assert_eq!(linear.router.bvh_nodes_visited, 0);
-        prop_assert_eq!(
-            linear.router.scoped_subscriptions,
-            bvh.router.scoped_subscriptions
-        );
-    }
-
     /// Columnar ingest ([`Engine::ingest_all`]) is semantically
     /// identical to the per-instance path: same notification multiset
     /// and same routing counters, across random streams × region sets ×

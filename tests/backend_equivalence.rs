@@ -195,20 +195,8 @@ fn fingerprint(
     app: &CpsApplication,
     backend: EvalBackend,
 ) -> (Vec<String>, Vec<String>, Vec<u64>) {
-    fingerprint_with_sharing(config, app, backend, config.plan_sharing)
-}
-
-/// [`fingerprint`] with the shared-plan dedupe forced on or off —
-/// sharing must be invisible to everything the fingerprint covers.
-fn fingerprint_with_sharing(
-    config: &ScenarioConfig,
-    app: &CpsApplication,
-    backend: EvalBackend,
-    plan_sharing: bool,
-) -> (Vec<String>, Vec<String>, Vec<u64>) {
     let config = ScenarioConfig {
         backend,
-        plan_sharing,
         ..config.clone()
     };
     let report = CpsSystem::run(config, app.clone());
@@ -268,39 +256,6 @@ proptest! {
             "threaded engine backend diverged from DES (shape {}, seed {}, {} shards)",
             shape, seed, shards
         );
-    }
-}
-
-proptest! {
-    /// Shared detector plans are invisible to detection: evaluating
-    /// deduped plan templates with subscriber fan-out (sharing on) and
-    /// one detector per subscription (sharing off) must both stay
-    /// bit-for-bit identical to the DES path, in both engine execution
-    /// modes, across scenario shapes, seeds, and shard counts.
-    #[test]
-    fn plan_sharing_is_bit_identical_to_per_subscription_and_des(
-        seed in 1u64..1_000,
-        shape in 0usize..3,
-        shards in 1usize..5,
-    ) {
-        let (config, app) = scenario(shape, seed);
-        let des = fingerprint(&config, &app, EvalBackend::Des);
-        prop_assert!(!des.0.is_empty(), "scenario must generate instances");
-        for deterministic in [true, false] {
-            let backend = EvalBackend::Engine { shards, deterministic };
-            let shared = fingerprint_with_sharing(&config, &app, backend, true);
-            let unshared = fingerprint_with_sharing(&config, &app, backend, false);
-            prop_assert_eq!(
-                &des, &shared,
-                "sharing on diverged from DES (shape {}, seed {}, {} shards, deterministic {})",
-                shape, seed, shards, deterministic
-            );
-            prop_assert_eq!(
-                &shared, &unshared,
-                "sharing on/off diverged (shape {}, seed {}, {} shards, deterministic {})",
-                shape, seed, shards, deterministic
-            );
-        }
     }
 }
 
