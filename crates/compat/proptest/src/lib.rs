@@ -181,7 +181,8 @@ pub mod strategy {
         }
     }
 
-    /// Uniform choice among alternatives (the [`prop_oneof!`] backend).
+    /// Uniform choice among alternatives (the [`prop_oneof!`](crate::prop_oneof)
+    /// backend).
     pub struct Union<T> {
         arms: Vec<BoxedStrategy<T>>,
     }
@@ -283,7 +284,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// The accepted size specifications for [`vec`].
+    /// The accepted size specifications for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -315,7 +316,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -8,8 +8,9 @@
 //! point). A [`ColumnarBatch`] flips the layout: instances are appended
 //! into parallel arrays, event ids and attribute keys are interned once
 //! per batch, and attribute values live in a flat arena that a
-//! [`ColumnarBatch::reset`] reclaims without freeing capacity. Routing,
-//! scope tests, and BVH probes then iterate dense columns; a full
+//! [`ColumnarBatch::reset`] reclaims without freeing capacity. Every
+//! instance the engine routes is a row of such a batch: routing, scope
+//! tests, and BVH probes iterate dense columns, and a full
 //! [`EventInstance`] is only re-materialized for the minority of rows
 //! that actually reach evaluation or durable logging.
 
@@ -101,10 +102,11 @@ impl AttrArena {
 /// A structure-of-arrays batch of event instances.
 ///
 /// Columns the router and scope/BVH probes touch (`layer`,
-/// `generation_time`, the representative point of the estimated
-/// location) are dense `Copy` arrays; heavier per-row state (estimated
-/// extents, attributes) sits in side tables that are only consulted
-/// when a row is materialized back into an [`EventInstance`].
+/// `generation_time`, the ingest-provided evaluation time, the
+/// representative point of the estimated location) are dense `Copy`
+/// arrays; heavier per-row state (estimated extents, attributes) sits
+/// in side tables that are only consulted when a row is materialized
+/// back into an [`EventInstance`].
 #[derive(Debug, Default, Clone)]
 pub struct ColumnarBatch {
     observers: Vec<ObserverId>,
@@ -119,6 +121,7 @@ pub struct ColumnarBatch {
     est_locations: Vec<SpatialExtent>,
     reps: Vec<Point>,
     confidences: Vec<Confidence>,
+    eval_ats: Vec<Option<TimePoint>>,
     ingest_stamps: Vec<u64>,
     attrs: AttrArena,
 }
@@ -144,20 +147,29 @@ impl ColumnarBatch {
         batch.est_locations.reserve(rows);
         batch.reps.reserve(rows);
         batch.confidences.reserve(rows);
+        batch.eval_ats.reserve(rows);
         batch.ingest_stamps.reserve(rows);
         batch
     }
 
     /// Appends one instance as a new row and returns its row index.
-    /// The row's ingest stamp is 0 (untraced); traced ingest paths use
-    /// [`ColumnarBatch::push_stamped`].
+    /// The row has no evaluation time and an ingest stamp of 0
+    /// (untraced); the engine's ingest path uses
+    /// [`ColumnarBatch::push_at`].
     pub fn push(&mut self, instance: &EventInstance) -> usize {
-        self.push_stamped(instance, 0)
+        self.push_at(instance, None, 0)
     }
 
-    /// Appends one instance carrying the trace-clock stamp taken when
-    /// it entered the engine, and returns its row index.
-    pub fn push_stamped(&mut self, instance: &EventInstance, ingest_stamp: u64) -> usize {
+    /// Appends one instance with its ingest-provided evaluation time
+    /// (`None` = evaluate at the generation time) and the trace-clock
+    /// stamp taken when it entered the engine (0 untraced), and returns
+    /// its row index.
+    pub fn push_at(
+        &mut self,
+        instance: &EventInstance,
+        eval_at: Option<TimePoint>,
+        ingest_stamp: u64,
+    ) -> usize {
         // Streams are overwhelmingly single-event: one equality check
         // against the previous row's interned id usually replaces the
         // map descent.
@@ -186,9 +198,18 @@ impl ColumnarBatch {
         self.reps
             .push(instance.estimated_location().representative());
         self.confidences.push(instance.confidence());
+        self.eval_ats.push(eval_at);
         self.ingest_stamps.push(ingest_stamp);
         self.attrs.push_row(instance.attributes());
         self.len() - 1
+    }
+
+    /// The row's ingest-provided evaluation time: the stream-clock
+    /// sample, reorder key, and detector clock in place of the
+    /// generation time (`None` = the generation time).
+    #[must_use]
+    pub fn eval_at(&self, row: usize) -> Option<TimePoint> {
+        self.eval_ats[row]
     }
 
     /// The trace-clock stamp taken when the row entered the engine
@@ -290,6 +311,7 @@ impl ColumnarBatch {
         self.est_locations.clear();
         self.reps.clear();
         self.confidences.clear();
+        self.eval_ats.clear();
         self.ingest_stamps.clear();
         self.attrs.reset();
     }
@@ -378,12 +400,40 @@ mod tests {
     fn ingest_stamps_ride_the_row_and_reset() {
         let mut batch = ColumnarBatch::new();
         let plain = batch.push(&inst(1, 0.0, "hot"));
-        let stamped = batch.push_stamped(&inst(2, 1.0, "hot"), 42);
+        let stamped = batch.push_at(&inst(2, 1.0, "hot"), None, 42);
+        let timed = batch.push_at(&inst(3, 1.5, "hot"), Some(TimePoint::new(90)), 43);
         assert_eq!(batch.ingest_stamp(plain), 0, "push is the untraced path");
+        assert_eq!(batch.eval_at(plain), None, "push evaluates at t^g");
         assert_eq!(batch.ingest_stamp(stamped), 42);
+        assert_eq!(batch.eval_at(stamped), None);
+        assert_eq!(batch.ingest_stamp(timed), 43);
+        assert_eq!(batch.eval_at(timed), Some(TimePoint::new(90)));
         batch.reset();
-        let again = batch.push_stamped(&inst(3, 2.0, "hot"), 7);
+        // A recycled chunk must not leak the previous fill's per-row
+        // values into rows pushed after the reset.
+        let again = batch.push_at(&inst(4, 2.0, "hot"), None, 7);
+        assert_eq!(batch.len(), 1);
         assert_eq!(batch.ingest_stamp(again), 7, "stamps cleared by reset");
+        assert_eq!(
+            batch.eval_at(again),
+            None,
+            "evaluation times cleared by reset"
+        );
+        let timed_again = batch.push_at(&inst(5, 2.5, "hot"), Some(TimePoint::new(7)), 0);
+        assert_eq!(timed_again, 1, "reset rewinds every column together");
+        assert_eq!(batch.eval_at(timed_again), Some(TimePoint::new(7)));
+    }
+
+    #[test]
+    fn eval_at_never_changes_the_materialized_instance() {
+        let mut batch = ColumnarBatch::new();
+        let original = inst(6, 3.0, "hot");
+        let plain = batch.push(&original);
+        let timed = batch.push_at(&original, Some(TimePoint::new(1_000)), 5);
+        // The evaluation time is routing metadata, not part of the
+        // instance: both rows rebuild the pushed instance bit for bit.
+        assert_eq!(batch.materialize(plain), original);
+        assert_eq!(batch.materialize(timed), original);
     }
 
     #[test]

@@ -123,15 +123,16 @@ const SCOPE_MARGIN: f64 = 5.0;
 pub struct StationScopes {
     /// Sensor-layer arrivals at the sink: the deployment's sensing
     /// extent (every mote's position — field samples and range
-    /// readings are generated there), padded by [`SCOPE_MARGIN`].
+    /// readings are generated there), padded by the fixed 5 m
+    /// `SCOPE_MARGIN`.
     pub sink: Rect,
     /// Cyber-physical / cyber arrivals at the CCU: derived composite
     /// extents (aggregates of in-deployment constituents), station
     /// positions (episode and feedback instances), and — when the
     /// application tracks a mobile target — the exact bound of the
     /// target's trajectory, all padded by the mobility slack (the
-    /// ranging radius, within which localization fixes land) plus
-    /// [`SCOPE_MARGIN`].
+    /// ranging radius, within which localization fixes land) plus the
+    /// fixed 5 m `SCOPE_MARGIN`.
     pub ccu: Rect,
 }
 

@@ -1,89 +1,15 @@
 //! The unit of handoff between router and shard workers.
+//!
+//! Every routed instance is a row of a shared [`ColumnarBatch`] chunk:
+//! the engine's ingest entry points fill chunks, the router iterates
+//! their dense columns, and shard workers keep a reference to the chunk
+//! plus the row index. A broadcast to several shards costs one `Arc`
+//! bump per copy, and the full [`stem_core::EventInstance`] is only
+//! re-materialized for rows that reach evaluation or durable logging.
 
 use std::sync::Arc;
-use stem_core::{ColumnarBatch, EventId, EventInstance, Layer};
-use stem_spatial::Point;
+use stem_core::ColumnarBatch;
 use stem_temporal::TimePoint;
-
-/// How a routed instance travels to its shard.
-///
-/// The classic path moves the owned [`EventInstance`]; the columnar
-/// ingest path instead ships a shared reference into a
-/// [`ColumnarBatch`] row, so the router and the worker's filter pass
-/// iterate flat columns and the full instance is only re-materialized
-/// for rows that reach evaluation or durable logging.
-#[derive(Debug, Clone)]
-pub enum ItemPayload {
-    /// A standalone instance (per-instance ingest to a single target,
-    /// recovery replay, snapshot restore).
-    Owned(EventInstance),
-    /// A broadcast copy: the same instance delivered to several shards
-    /// shares one allocation, so fanout costs an `Arc` bump instead of
-    /// a deep clone of strings and attribute maps.
-    Shared(Arc<EventInstance>),
-    /// Row `.1` of a shared columnar ingest chunk.
-    Columnar(Arc<ColumnarBatch>, u32),
-}
-
-impl ItemPayload {
-    /// The instance's event id.
-    #[must_use]
-    pub fn event(&self) -> &EventId {
-        match self {
-            ItemPayload::Owned(instance) => instance.event(),
-            ItemPayload::Shared(instance) => instance.event(),
-            ItemPayload::Columnar(batch, row) => batch.event(*row as usize),
-        }
-    }
-
-    /// The instance's model layer.
-    #[must_use]
-    pub fn layer(&self) -> Layer {
-        match self {
-            ItemPayload::Owned(instance) => instance.layer(),
-            ItemPayload::Shared(instance) => instance.layer(),
-            ItemPayload::Columnar(batch, row) => batch.layer(*row as usize),
-        }
-    }
-
-    /// The instance's generation time `t^g`.
-    #[must_use]
-    pub fn generation_time(&self) -> TimePoint {
-        match self {
-            ItemPayload::Owned(instance) => instance.generation_time(),
-            ItemPayload::Shared(instance) => instance.generation_time(),
-            ItemPayload::Columnar(batch, row) => batch.generation_time(*row as usize),
-        }
-    }
-
-    /// The representative point of the estimated location — what the
-    /// router and the subscription filter pass key on.
-    #[must_use]
-    pub fn representative(&self) -> Point {
-        match self {
-            ItemPayload::Owned(instance) => instance.estimated_location().representative(),
-            ItemPayload::Shared(instance) => instance.estimated_location().representative(),
-            ItemPayload::Columnar(batch, row) => batch.representative(*row as usize),
-        }
-    }
-
-    /// A standalone copy of the instance (clone for owned payloads,
-    /// materialization for columnar rows — bit-identical either way).
-    #[must_use]
-    pub fn to_instance(&self) -> EventInstance {
-        match self {
-            ItemPayload::Owned(instance) => instance.clone(),
-            ItemPayload::Shared(instance) => EventInstance::clone(instance),
-            ItemPayload::Columnar(batch, row) => batch.materialize(*row as usize),
-        }
-    }
-}
-
-impl From<EventInstance> for ItemPayload {
-    fn from(instance: EventInstance) -> Self {
-        ItemPayload::Owned(instance)
-    }
-}
 
 /// Trace-clock stamps a routed item accumulated before handoff (absent
 /// with [`crate::TracePolicy::Off`]). The remaining stages (release,
@@ -92,15 +18,17 @@ impl From<EventInstance> for ItemPayload {
 /// handed off together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ItemTrace {
-    /// When the operation entered the engine (ingest call or columnar
-    /// push).
+    /// When the row entered the engine (one stamp per chunk fill, read
+    /// off the chunk's ingest-stamp column).
     pub ingest: u64,
-    /// When the router stamped it with its global sequence.
+    /// When the router stamped it with its global sequence (one stamp
+    /// per routed chunk).
     pub route: u64,
 }
 
-/// One routed instance plus the router's high-water mark over the
-/// strict prefix of the stream before it.
+/// One routed instance — row `row` of the shared ingest `chunk` — plus
+/// the router's high-water mark over the strict prefix of the stream
+/// before it.
 ///
 /// Applying `prefix_high_water` to the shard's reorder buffer *before*
 /// pushing the instance reproduces the exact accept/late-drop decision
@@ -115,13 +43,14 @@ pub struct BatchItem {
     /// *operation*, which is what write-ahead logging and post-recovery
     /// deduplication key on.
     pub seq: u64,
-    /// The routed instance (owned, or a shared columnar row).
-    pub payload: ItemPayload,
-    /// Observer-local evaluation time provided at ingest
-    /// ([`crate::Engine::ingest_at`]): the reorder key and the clock
-    /// pattern/sustained evaluation runs on. `None` falls back to the
-    /// instance's generation time (the classic streaming path).
-    pub eval_at: Option<TimePoint>,
+    /// The ingest chunk holding the instance (shared by every row routed
+    /// from it and every broadcast copy). The row's evaluation time
+    /// ([`ColumnarBatch::eval_at`]) is the reorder key and the clock
+    /// pattern/sustained evaluation runs on; `None` falls back to the
+    /// generation time.
+    pub chunk: Arc<ColumnarBatch>,
+    /// The instance's row in `chunk`.
+    pub row: u32,
     /// Maximum stream-clock value over all instances routed strictly
     /// before this one (`None` for the stream's first instance).
     pub prefix_high_water: Option<TimePoint>,

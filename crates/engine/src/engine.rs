@@ -13,6 +13,7 @@ use crate::slot::ShardSlot;
 use crate::subscription::{Subscription, SubscriptionId};
 use crate::trace::{FlightRing, TraceHandle, TraceReport, WorkerTrace};
 use crate::worker::{ShardMessage, ShardWorker, SubscriptionState, WorkerObs};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -37,6 +38,11 @@ struct EngineObs {
     every_batches: u64,
     batches_since_sample: u64,
 }
+
+/// Routed chunks the ingest pool keeps alive waiting for shard
+/// references to drop; beyond this the oldest is released to the
+/// allocator.
+const POOL_DEPTH: usize = 8;
 
 /// How shard workers are driven.
 enum Backend {
@@ -112,10 +118,10 @@ pub struct Engine {
     started: Instant,
     /// Telemetry state (None with [`TelemetryPolicy::Off`]).
     obs: Option<EngineObs>,
-    /// The provenance trace clock every stage stamps against — wall
-    /// nanos in threaded mode, a shared virtual counter in
-    /// deterministic mode (`None` with [`TracePolicy::Off`]).
-    trace_clock: Option<Arc<TraceClock>>,
+    /// Routed ingest chunks, oldest first, waiting for every shard to
+    /// drop its rows so [`Engine::ingest_rows`] can refill them (at
+    /// most [`POOL_DEPTH`] + 1).
+    pool: Vec<Arc<ColumnarBatch>>,
     /// Per-shard flight-recorder rings (empty with [`TracePolicy::Off`]);
     /// the workers write, [`Engine::trace`] and shutdown read.
     trace_rings: Vec<Arc<Mutex<FlightRing>>>,
@@ -294,7 +300,7 @@ impl Engine {
             checkpoint_high_water: None,
             started: Instant::now(),
             obs,
-            trace_clock,
+            pool: Vec::new(),
             trace_rings,
             watch,
             run_epoch: 0,
@@ -550,19 +556,7 @@ impl Engine {
     /// Ingests one instance: routes it (owner shard + broadcast to
     /// interested shards) and hands off any batch that filled up.
     pub fn ingest(&mut self, instance: EventInstance) {
-        // The provenance ingest stamp is taken at engine entry, before
-        // any routing work, so per-stage deltas measure the stages.
-        let ingest_stamp = self.router.trace_stamp();
-        let ingest_token = self.obs_span();
-        let route_token = self.obs_span();
-        let full = self.router.route_at_traced(instance, None, ingest_stamp);
-        self.obs_record(Stage::Route, route_token);
-        for shard in full {
-            self.flush_shard(shard);
-        }
-        self.obs_record(Stage::Ingest, ingest_token);
-        self.maybe_checkpoint();
-        self.maybe_sample();
+        self.ingest_rows(std::iter::once((instance, None)));
     }
 
     /// Ingests one instance with an explicit observer-local evaluation
@@ -571,35 +565,24 @@ impl Engine {
     /// ingest path, where instances arrive (and are evaluated) later
     /// than they were generated upstream.
     pub fn ingest_at(&mut self, instance: EventInstance, at: TimePoint) {
-        let ingest_stamp = self.router.trace_stamp();
-        let ingest_token = self.obs_span();
-        let route_token = self.obs_span();
-        let full = self
-            .router
-            .route_at_traced(instance, Some(at), ingest_stamp);
-        self.obs_record(Stage::Route, route_token);
-        for shard in full {
-            self.flush_shard(shard);
-        }
-        self.obs_record(Stage::Ingest, ingest_token);
-        self.maybe_checkpoint();
-        self.maybe_sample();
+        self.ingest_rows(std::iter::once((instance, Some(at))));
     }
 
-    /// Ingests an entire stream through the columnar batch path:
-    /// instances are gathered into arena-backed [`ColumnarBatch`]
-    /// chunks (one `batch_size` chunk at a time) and the router, the
-    /// interest masks, and the precision pass iterate the chunk's flat
-    /// columns instead of touching each instance's heap allocations.
-    /// Shard workers receive shared references into the chunk and only
+    /// Ingests an entire stream. This and the other entry points —
+    /// [`Engine::ingest`], [`Engine::ingest_at`], [`Engine::pump`] —
+    /// share one path: instances, each with its optional evaluation
+    /// time, are gathered into arena-backed [`ColumnarBatch`] chunks,
+    /// and the router, the interest masks, and the precision pass
+    /// iterate each chunk's flat columns instead of touching each
+    /// instance's heap allocations. A chunk is routed as soon as it
+    /// holds `batch_size` rows, and a partial chunk before the call
+    /// returns, so every call routes everything it was given. Shard
+    /// workers receive shared references into the chunk and only
     /// re-materialize the rows that actually reach evaluation or the
-    /// write-ahead log. Chunks are recycled through a small pool once
-    /// every shard has dropped its reference, so steady-state ingest
-    /// reuses the same arenas instead of reallocating per chunk.
-    ///
-    /// Semantically identical to calling [`Engine::ingest`] per
-    /// instance — same routing, same sequence stamps, same
-    /// notifications (the columnar-equivalence tests pin this down).
+    /// write-ahead log. The engine keeps routed chunks in a small pool
+    /// and refills one once every shard has dropped its reference, so
+    /// steady-state ingest reuses the same arenas instead of
+    /// reallocating per chunk.
     ///
     /// Accepts owned instances or references: the columnar build only
     /// *reads* each instance (columns and arena rows are copies), so a
@@ -608,37 +591,45 @@ impl Engine {
     pub fn ingest_all<I>(&mut self, instances: I)
     where
         I: IntoIterator,
-        I::Item: std::borrow::Borrow<EventInstance>,
+        I::Item: Borrow<EventInstance>,
     {
-        use std::borrow::Borrow;
-        // Chunks the pool keeps alive waiting for shard references to
-        // drop; beyond this the oldest is released to the allocator.
-        const POOL_DEPTH: usize = 8;
-        let chunk = self.config.batch_size.max(1);
-        let mut iter = instances.into_iter();
-        let mut pool: Vec<Arc<ColumnarBatch>> = Vec::new();
-        let mut batch = ColumnarBatch::with_capacity(chunk);
-        loop {
-            let build_token = self.obs_span();
-            // Columnar rows carry their ingest stamp in a parallel
-            // column, so batch routing keeps per-instance provenance
-            // without touching the instances again. One stamp per
-            // chunk fill: all rows of a chunk entered the engine in
+        self.ingest_rows(instances.into_iter().map(|instance| (instance, None)));
+    }
+
+    /// Drains an [`InstanceSource`] through the ingest path, each
+    /// instance evaluated at its recorded arrival time (as
+    /// [`Engine::ingest_at`] would): the replay path for recorded
+    /// station streams.
+    pub fn pump<S: InstanceSource>(&mut self, source: &mut S) {
+        let timed = std::iter::from_fn(|| source.next_timed());
+        self.ingest_rows(timed.map(|timed| (timed.instance, Some(timed.at))));
+    }
+
+    /// The one ingest path every entry point wraps (see
+    /// [`Engine::ingest_all`]): fills pooled chunks from `rows`, routing
+    /// each at `batch_size` rows and the last partial one before
+    /// returning.
+    fn ingest_rows<T: Borrow<EventInstance>>(
+        &mut self,
+        rows: impl Iterator<Item = (T, Option<TimePoint>)>,
+    ) {
+        let chunk_rows = self.config.batch_size.max(1);
+        let mut rows = rows.peekable();
+        while rows.peek().is_some() {
+            // One ingest stamp per chunk fill, carried in the chunk's
+            // stamp column: all rows of a chunk entered the engine in
             // the same call, and a clock read per row is the dominant
             // tracing cost on this path.
-            let ingest_stamp = self.trace_clock.as_ref().map(|clock| clock.now());
-            while batch.len() < chunk {
-                let Some(instance) = iter.next() else { break };
-                match ingest_stamp {
-                    Some(stamp) => batch.push_stamped(instance.borrow(), stamp),
-                    None => batch.push(instance.borrow()),
-                };
+            let ingest_stamp = self.router.trace_stamp();
+            let reset_token = self.obs_span();
+            let mut chunk = self.recycled_chunk(rows.size_hint().0.clamp(1, chunk_rows));
+            self.obs_record(Stage::BatchReset, reset_token);
+            let build_token = self.obs_span();
+            for (instance, eval_at) in rows.by_ref().take(chunk_rows) {
+                chunk.push_at(instance.borrow(), eval_at, ingest_stamp);
             }
             self.obs_record(Stage::BatchBuild, build_token);
-            if batch.is_empty() {
-                break;
-            }
-            let shared = Arc::new(std::mem::replace(&mut batch, ColumnarBatch::new()));
+            let shared = Arc::new(chunk);
             let ingest_token = self.obs_span();
             let route_token = self.obs_span();
             let full = self.router.route_batch(&shared);
@@ -647,43 +638,32 @@ impl Engine {
                 self.flush_shard(shard);
             }
             self.obs_record(Stage::Ingest, ingest_token);
-            pool.push(shared);
+            self.pool.push(shared);
             self.maybe_checkpoint();
             self.maybe_sample();
-            // Recycle the first chunk every shard has let go of:
-            // try_unwrap cannot race because this thread holds the only
-            // other clone. Reset keeps the arena's capacity and key
-            // interner.
-            let reset_token = self.obs_span();
-            if let Some(idx) = pool.iter().position(|b| Arc::strong_count(b) == 1) {
-                if let Ok(mut reclaimed) = Arc::try_unwrap(pool.swap_remove(idx)) {
-                    reclaimed.reset();
-                    batch = reclaimed;
-                }
-            } else {
-                if pool.len() > POOL_DEPTH {
-                    // Nothing reclaimable: stop pinning the oldest
-                    // chunk ourselves (it frees once its shards drop
-                    // it).
-                    pool.remove(0);
-                }
-                // The replacement starts at full row capacity: one
-                // reserve per column instead of geometric growth
-                // re-paid on every chunk (with lazily-woken workers,
-                // whole ingest runs can pass before anything is
-                // reclaimable).
-                batch = ColumnarBatch::with_capacity(chunk);
-            }
-            self.obs_record(Stage::BatchReset, reset_token);
         }
     }
 
-    /// Drains an [`InstanceSource`] through [`Engine::ingest_at`]: the
-    /// replay path for recorded station streams.
-    pub fn pump<S: InstanceSource>(&mut self, source: &mut S) {
-        while let Some(timed) = source.next_timed() {
-            self.ingest_at(timed.instance, timed.at);
+    /// An empty chunk to fill: the first pooled chunk every shard has
+    /// let go of, reset (keeping its arena capacity and interners), or
+    /// a fresh one with `rows` rows reserved up front. `try_unwrap`
+    /// cannot race: this thread holds the only other clone.
+    fn recycled_chunk(&mut self, rows: usize) -> ColumnarBatch {
+        if let Some(idx) = self.pool.iter().position(|c| Arc::strong_count(c) == 1) {
+            if let Ok(mut chunk) = Arc::try_unwrap(self.pool.swap_remove(idx)) {
+                chunk.reset();
+                return chunk;
+            }
         }
+        if self.pool.len() > POOL_DEPTH {
+            // Nothing reclaimable: stop pinning the oldest chunk
+            // ourselves (it frees once its shards drop it).
+            self.pool.remove(0);
+        }
+        // One reserve per column instead of geometric growth re-paid on
+        // every chunk (with lazily-woken workers, whole ingest runs can
+        // pass before anything is reclaimable).
+        ColumnarBatch::with_capacity(rows)
     }
 
     /// Re-feeds a recorded operation stream ([`stem_wal::Replay::records`])
@@ -1102,14 +1082,14 @@ impl Engine {
     /// The barrier is wait-free: a *clean* shard — one whose processed
     /// counter already matches everything the engine sent it — costs
     /// two atomic loads and no cross-thread traffic at all, and a dirty
-    /// shard's remaining queue is *stolen* and drained inline on the
-    /// calling thread (see [`ShardSlot`]) instead of parking on an ack
-    /// round trip. No sync messages, no wakeups, no context switches —
-    /// the cost ROADMAP item 5's anti-scaling used to hide in. The
-    /// flush underneath still cuts heartbeat-only batches only when the
-    /// stream clock advanced and the shard might act on it (see
-    /// [`Engine::flush_shard`]), so a driver syncing once per delivery
-    /// pays for exactly the shards that delivery touched.
+    /// shard's remaining queue is *stolen* from its steal-queue slot and
+    /// drained inline on the calling thread instead of parking on an ack
+    /// round trip. No sync messages, no wakeups, no context switches.
+    /// The flush underneath still cuts heartbeat-only batches only when
+    /// the stream clock advanced and the shard might act on it (a
+    /// heartbeat to an idle shard with an empty reorder buffer is
+    /// suppressed), so a caller syncing once per delivery pays for
+    /// exactly the shards that delivery touched.
     pub fn sync(&mut self) {
         self.flush();
         let dirty: Vec<usize> = match &self.backend {
@@ -1431,6 +1411,7 @@ impl Recovery {
                     records: plan.recovered.records,
                     durable_seq: plan.durable_seq,
                     torn: plan.recovered.torn_truncations,
+                    batch_size: self.engine.config.batch_size,
                 },
             );
             self.engine.send(shard, ShardMessage::EndRecovery);

@@ -10,11 +10,12 @@
 //! ## Architecture
 //!
 //! ```text
-//!                 ingest_all()                steal-queue slots (bounded)
+//!    ingest, ingest_at,
+//!    ingest_all, pump                            steal-queue slots (bounded)
 //!  instances ──▶ ColumnarBatch ──▶ ShardRouter ──▶ shard worker 0 ──▶ sinks
-//!                (arena-backed,        │       └─▶ shard worker 1 ──▶ sinks
-//!                 pooled chunks)       │  quadtree-derived     ⋮
-//!                                      └─ ShardMap    per shard:
+//!                (one row per          │       └─▶ shard worker 1 ──▶ sinks
+//!                 instance; arena-     │  quadtree-derived     ⋮
+//!                 backed, pooled)      └─ ShardMap    per shard:
 //!                                                     ReorderBuffer (watermark)
 //!                                                     subscription registry
 //!                                                     condition / pattern /
@@ -24,6 +25,10 @@
 //! * The shard map partitions the world plane into quadtree leaves
 //!   (depth chosen from the shard count) and assigns contiguous Z-order
 //!   runs of leaves to shards, so each shard owns a compact region.
+//! * Every ingest entry point fills pooled [`stem_core::ColumnarBatch`]
+//!   chunks through one path, and WAL tail recovery and snapshot
+//!   restore pack their instances into chunks the same way: an
+//!   instance inside the engine is always one row of a shared chunk.
 //! * The router forwards each instance to every shard that is home to a
 //!   subscription whose scope covers it — plus the shard owning its
 //!   location when a write-ahead log needs a durable copy — in columnar

@@ -1,12 +1,12 @@
 //! The shard router: spatial partitioning, interest tracking, batching.
 
-use crate::batch::{Batch, BatchItem, ItemPayload, ItemTrace};
+use crate::batch::{Batch, BatchItem, ItemTrace};
 use crate::config::ShardId;
 use crate::metrics::RouterMetrics;
 use crate::plan::PlanId;
 use crate::shard_map::{Grid, ShardMap};
 use std::sync::Arc;
-use stem_core::{ColumnarBatch, EventInstance, Layer, TraceClock};
+use stem_core::{ColumnarBatch, Layer, TraceClock};
 use stem_spatial::{Bvh, Field, Point, Rect, SpatialExtent};
 use stem_temporal::TimePoint;
 
@@ -388,99 +388,48 @@ impl ShardRouter {
         }
     }
 
-    /// Routes one instance into the per-shard pending batches and
-    /// returns the shards whose batch just reached the flush threshold
-    /// (a test helper: the engine stamps its own ingest time and calls
-    /// [`ShardRouter::route_at_traced`]).
-    #[cfg(test)]
-    fn route(&mut self, instance: EventInstance) -> Vec<ShardId> {
-        let ingest = self.trace_stamp();
-        self.route_at_traced(instance, None, ingest)
-    }
-
     /// A trace-clock stamp, or 0 with tracing off.
     pub(crate) fn trace_stamp(&self) -> u64 {
         self.trace_clock.as_ref().map_or(0, |c| c.now())
     }
 
-    /// Routes one instance into the per-shard pending batches and
-    /// returns the shards whose batch just reached the flush threshold.
-    /// `eval_at` is an explicit observer-local evaluation time used as
-    /// the stream-clock sample and the shard reorder key (`None` = the
-    /// instance's generation time); `ingest` is the engine-entry stamp
-    /// (sampled before routing so `ingest <= route` reflects real
-    /// queueing between the two).
-    pub(crate) fn route_at_traced(
-        &mut self,
-        instance: EventInstance,
-        eval_at: Option<TimePoint>,
-        ingest: u64,
-    ) -> Vec<ShardId> {
-        let location = instance.estimated_location().representative();
-        let t = eval_at.unwrap_or_else(|| instance.generation_time());
-        let targets = self.target_mask(location, layer_bit(instance.layer()));
-        let mut full = Vec::new();
-        let route = self.trace_stamp();
-        let (seq, prefix_high_water, trace) = self.stamp(t, ingest, route);
-        if targets == 0 {
-            // Nothing subscribed and no durable log to feed: the clock
-            // advanced, the instance goes nowhere.
-            return full;
-        }
-        if targets.count_ones() == 1 {
-            // Single target: the instance moves — no clone, no Arc.
-            let shard = targets.trailing_zeros() as ShardId;
-            let item = ItemPayload::Owned(instance);
-            if self.push_item(shard, seq, item, eval_at, prefix_high_water, trace) {
-                full.push(shard);
-            }
-            return full;
-        }
-        // Broadcast: one allocation shared by every target copy.
-        let shared = Arc::new(instance);
-        let mut bits = targets;
-        while bits != 0 {
-            let shard = bits.trailing_zeros() as ShardId;
-            bits &= bits - 1;
-            let item = ItemPayload::Shared(Arc::clone(&shared));
-            if self.push_item(shard, seq, item, eval_at, prefix_high_water, trace) {
-                full.push(shard);
-            }
-        }
-        full
-    }
-
-    /// Routes every row of a shared columnar chunk, iterating the
-    /// batch's dense representative-point and generation-time columns
-    /// instead of walking per-instance heap structures. Shards receive
-    /// [`ItemPayload::Columnar`] references into the chunk; the full
-    /// instance is only re-materialized downstream for rows that reach
-    /// evaluation or durable logging.
+    /// Routes every row of a shared ingest chunk into the per-shard
+    /// pending batches, iterating the chunk's dense representative-point,
+    /// evaluation-time, and generation-time columns instead of walking
+    /// per-instance heap structures. Each row's stream-clock sample (the
+    /// high-water input and reorder key) is its evaluation time when the
+    /// ingest call supplied one, its generation time otherwise. Shards
+    /// receive `(chunk, row)` references; the full instance is only
+    /// re-materialized downstream for rows that reach evaluation or
+    /// durable logging.
     ///
-    /// Sequence numbers, prefix high-water stamps, and the target
-    /// selection (leaf mask + precision pass) are identical to routing
-    /// the same instances one at a time through
-    /// [`ShardRouter::route_at_traced`].
     /// Returns the shards whose pending batch reached the flush
     /// threshold, deduplicated, in shard order.
     pub fn route_batch(&mut self, batch: &Arc<ColumnarBatch>) -> Vec<ShardId> {
         let mut full_mask: u64 = 0;
         // One route stamp per chunk, shared by every row: a per-row
-        // clock read costs more than the routing itself on the columnar
-        // path, and the rows' ingest stamps (taken at batch fill, all
-        // before this call) stay `<=` the shared stamp.
+        // clock read costs more than the routing itself, and the rows'
+        // ingest stamps (taken at chunk fill, all before this call) stay
+        // `<=` the shared stamp.
         let route = self.trace_stamp();
         for row in 0..batch.len() {
             let location = batch.representatives()[row];
-            let t = batch.generation_times()[row];
+            let t = batch.eval_at(row).unwrap_or(batch.generation_times()[row]);
             let targets = self.target_mask(location, layer_bit(batch.layer(row)));
             let (seq, prefix_high_water, trace) = self.stamp(t, batch.ingest_stamp(row), route);
             let mut bits = targets;
             while bits != 0 {
                 let shard = bits.trailing_zeros() as ShardId;
                 bits &= bits - 1;
-                let item = ItemPayload::Columnar(Arc::clone(batch), row as u32);
-                if self.push_item(shard, seq, item, None, prefix_high_water, trace) {
+                let pending = &mut self.pending[shard];
+                pending.push(BatchItem {
+                    seq,
+                    chunk: Arc::clone(batch),
+                    row: row as u32,
+                    prefix_high_water,
+                    trace,
+                });
+                if pending.len() >= self.batch_size {
                     full_mask |= 1 << shard;
                 }
             }
@@ -496,9 +445,8 @@ impl ShardRouter {
     /// Advances the stream clock past `t` and consumes one sequence
     /// number, returning `(seq, prefix_high_water, trace)` for the
     /// routed item. The caller supplies the `route` stamp (taken once
-    /// per instance on the scalar path, once per chunk on the columnar
-    /// path) so `ingest..route` measures the real gap between engine
-    /// entry and routing without a clock read per routed copy.
+    /// per chunk) so `ingest..route` measures the real gap between
+    /// engine entry and routing without a clock read per routed copy.
     fn stamp(
         &mut self,
         t: TimePoint,
@@ -560,28 +508,6 @@ impl ShardRouter {
         }
         self.metrics.fanout += u64::from(targets.count_ones());
         targets
-    }
-
-    /// Appends one routed item to a shard's pending batch; returns
-    /// whether the batch just reached the flush threshold.
-    fn push_item(
-        &mut self,
-        shard: ShardId,
-        seq: u64,
-        payload: ItemPayload,
-        eval_at: Option<TimePoint>,
-        prefix_high_water: Option<TimePoint>,
-        trace: Option<ItemTrace>,
-    ) -> bool {
-        let pending = &mut self.pending[shard];
-        pending.push(BatchItem {
-            seq,
-            payload,
-            eval_at,
-            prefix_high_water,
-            trace,
-        });
-        pending.len() >= self.batch_size
     }
 
     /// Takes the pending batch for `shard`, stamped with the current
@@ -661,6 +587,17 @@ mod tests {
         ShardRouter::with_bvh_threshold(world(shards), 1, bvh_threshold, true)
     }
 
+    impl ShardRouter {
+        /// Routes one instance as a one-row chunk and returns the shards
+        /// whose batch just reached the flush threshold — with the test
+        /// routers' batch size of 1, exactly its targets.
+        fn route(&mut self, instance: EventInstance) -> Vec<ShardId> {
+            let mut chunk = ColumnarBatch::with_capacity(1);
+            chunk.push(&instance);
+            self.route_batch(&Arc::new(chunk))
+        }
+    }
+
     fn inst(t: u64, x: f64, y: f64) -> EventInstance {
         EventInstance::builder(
             ObserverId::Mote(MoteId::new(1)),
@@ -699,6 +636,24 @@ mod tests {
              never colliding with the operation's own sequence"
         );
         assert_eq!(r.seq(), 1);
+    }
+
+    /// A row's ingest-provided evaluation time, not its generation time,
+    /// is the stream-clock sample: it advances the high-water mark and
+    /// stamps the next row's prefix.
+    #[test]
+    fn eval_at_drives_the_stream_clock() {
+        let mut r = router(1, usize::MAX);
+        let mut chunk = ColumnarBatch::new();
+        chunk.push_at(&inst(10, 5.0, 5.0), Some(TimePoint::new(100)), 0);
+        chunk.push(&inst(20, 5.0, 5.0));
+        r.route_batch(&Arc::new(chunk));
+        assert_eq!(r.high_water(), Some(TimePoint::new(100)));
+        let batch = r.take_batch(0);
+        assert_eq!(
+            batch.instances[1].prefix_high_water,
+            Some(TimePoint::new(100))
+        );
     }
 
     /// A scoped subscription's home hint is clamped into its scope, so

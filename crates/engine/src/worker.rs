@@ -1,6 +1,6 @@
 //! Shard workers: reorder, evaluate, notify.
 
-use crate::batch::{Batch, ItemPayload};
+use crate::batch::Batch;
 use crate::config::ShardId;
 use crate::metrics::ShardMetrics;
 use crate::plan::PlanId;
@@ -16,8 +16,9 @@ use stem_cep::{CompositeDetector, ReorderBuffer, SustainedDetector, SustainedEve
 use stem_core::codec::{self, CodecError, CodecResult, StateCodec};
 use stem_core::timing::{Clock, SpanToken};
 use stem_core::{
-    Bindings, CcuId, ConditionExpr, ConditionObserver, Constituent, DropVerdict, EntityName,
-    EventDefinition, EventId, EventInstance, Layer, ObserverId, Provenance, StageStamps, TraceId,
+    Bindings, CcuId, ColumnarBatch, ConditionExpr, ConditionObserver, Constituent, DropVerdict,
+    EntityName, EventDefinition, EventId, EventInstance, Layer, ObserverId, Provenance,
+    StageStamps, TraceId,
 };
 use stem_obs::{ObsRegistry, Recorder, Stage, TraceConstituent, TraceRecord};
 use stem_snap::ShardSnapshot;
@@ -103,6 +104,9 @@ pub(crate) enum ShardMessage {
         durable_seq: Option<u64>,
         /// Torn-tail truncations the recovery reader repaired.
         torn: u64,
+        /// Rows per chunk the recovered and restored instances are
+        /// packed into (the engine's `batch_size`).
+        batch_size: usize,
     },
     /// Cut a checkpoint snapshot: the barrier guarantees everything
     /// routed before this message has been evaluated and journaled, so
@@ -379,12 +383,17 @@ struct ItemMeta {
 /// One entry in a shard's reorder buffer, keyed by its observer-local
 /// time so the evaluation stream replays in station-clock order.
 enum StreamItem {
-    /// An instance to evaluate at its time (ingest-provided, defaulting
-    /// to the generation time). The payload stays columnar end to end
-    /// when it arrived columnar: the filter pass reads the batch's
-    /// columns and a standalone instance is only materialized for rows
-    /// that actually match a subscription.
-    Instance(TimePoint, ItemPayload, ItemMeta),
+    /// An instance to evaluate at `at` (ingest-provided, defaulting to
+    /// the generation time): row `row` of a shared ingest chunk. The
+    /// filter pass reads the chunk's columns, and a standalone instance
+    /// is only materialized for rows that actually match a
+    /// subscription.
+    Instance {
+        at: TimePoint,
+        chunk: Arc<ColumnarBatch>,
+        row: u32,
+        meta: ItemMeta,
+    },
     /// A queued silence probe: probes travel through the same reorder
     /// buffer as instances — feeding the sustained detector directly on
     /// message arrival would run it out of time order whenever earlier
@@ -412,16 +421,18 @@ const ITEM_TAG_PROBE: u8 = 1;
 /// clock.
 fn encode_stream_item(item: &StreamItem, buf: &mut Vec<u8>) {
     match item {
-        StreamItem::Instance(at, payload, meta) => {
+        StreamItem::Instance {
+            at,
+            chunk,
+            row,
+            meta,
+        } => {
             codec::put_u8(buf, ITEM_TAG_INSTANCE);
             codec::encode_time_point(*at, buf);
             codec::put_u64(buf, meta.seq);
-            // Snapshots always hold standalone instances (columnar rows
-            // materialize bit-identically), keeping the format stable.
-            match payload {
-                ItemPayload::Owned(instance) => codec::encode_instance(instance, buf),
-                columnar => codec::encode_instance(&columnar.to_instance(), buf),
-            }
+            // Snapshots hold standalone instances (rows materialize
+            // bit-identically), keeping the format stable.
+            codec::encode_instance(&chunk.materialize(*row as usize), buf);
         }
         StreamItem::Probe { id, at, seq } => {
             codec::put_u8(buf, ITEM_TAG_PROBE);
@@ -432,33 +443,59 @@ fn encode_stream_item(item: &StreamItem, buf: &mut Vec<u8>) {
     }
 }
 
+/// A reorder-buffer payload as a checkpoint snapshot stores it: a held
+/// instance is standalone until restore packs it into a chunk.
+enum HeldItem {
+    /// An instance held at `at`, with its global ingest sequence.
+    Instance(TimePoint, u64, EventInstance),
+    /// A queued silence probe (restored as is).
+    Probe(StreamItem),
+}
+
 /// Decodes one reorder-buffer payload from a checkpoint snapshot.
-fn decode_stream_item(bytes: &mut &[u8]) -> CodecResult<StreamItem> {
+fn decode_stream_item(bytes: &mut &[u8]) -> CodecResult<HeldItem> {
     match codec::get_u8(bytes)? {
         ITEM_TAG_INSTANCE => {
             let at = codec::decode_time_point(bytes)?;
             let seq = codec::get_u64(bytes)?;
             let instance = codec::decode_instance(bytes)?;
-            Ok(StreamItem::Instance(
-                at,
-                ItemPayload::Owned(instance),
-                ItemMeta {
-                    seq,
-                    ..ItemMeta::default()
-                },
-            ))
+            Ok(HeldItem::Instance(at, seq, instance))
         }
         ITEM_TAG_PROBE => {
             let id = SubscriptionId(codec::get_u64(bytes)?);
             let at = codec::decode_time_point(bytes)?;
             let seq = codec::get_u64(bytes)?;
-            Ok(StreamItem::Probe { id, at, seq })
+            Ok(HeldItem::Probe(StreamItem::Probe { id, at, seq }))
         }
         tag => Err(CodecError::BadTag {
             what: "StreamItem",
             tag,
         }),
     }
+}
+
+/// Packs instances into shared chunks of up to `batch_size` rows and
+/// returns one `(chunk, row)` handle per instance, in input order: how
+/// recovered log records and restored snapshot items rejoin the one
+/// columnar data path. Packed rows carry no evaluation time (the
+/// caller already holds each reorder key) and no trace stamps (a
+/// recovered run's fresh clock restarts near zero).
+fn pack_rows<'a>(
+    batch_size: usize,
+    instances: impl IntoIterator<Item = &'a EventInstance>,
+) -> Vec<(Arc<ColumnarBatch>, u32)> {
+    let batch_size = batch_size.max(1);
+    let mut instances = instances.into_iter().peekable();
+    let mut rows = Vec::new();
+    while instances.peek().is_some() {
+        let mut chunk = ColumnarBatch::with_capacity(instances.size_hint().0.clamp(1, batch_size));
+        for instance in instances.by_ref().take(batch_size) {
+            chunk.push(instance);
+        }
+        let chunk = Arc::new(chunk);
+        rows.extend((0..chunk.len() as u32).map(|row| (Arc::clone(&chunk), row)));
+    }
+    rows
 }
 
 /// Builds one notification's provenance and pushes its `Notify` ring
@@ -783,7 +820,8 @@ impl ShardWorker {
                 records,
                 durable_seq,
                 torn,
-            } => self.recover(snapshot, records, durable_seq, torn),
+                batch_size,
+            } => self.recover(snapshot, records, durable_seq, torn, batch_size),
             ShardMessage::Checkpoint {
                 epoch,
                 next_seq,
@@ -884,8 +922,7 @@ impl ShardWorker {
         } else {
             None
         };
-        let mut fresh: Vec<(Option<TimePoint>, Option<TimePoint>, ItemPayload, ItemMeta)> =
-            Vec::with_capacity(batch.instances.len());
+        let mut fresh = Vec::with_capacity(batch.instances.len());
         for item in batch.instances {
             if self.durable_seq.is_some_and(|d| item.seq <= d) {
                 // Post-recovery resume overlap: the log already held
@@ -901,44 +938,19 @@ impl ShardWorker {
                 enqueue: batch.enqueue,
                 release: 0,
             };
-            if self.wal.is_none() {
-                fresh.push((item.eval_at, item.prefix_high_water, item.payload, meta));
-                continue;
+            if self.wal.is_some() {
+                // The log holds standalone instances: the row
+                // materializes one for its record and itself continues
+                // to evaluation.
+                let row = item.row as usize;
+                self.wal_append(&WalRecord::Instance {
+                    seq: item.seq,
+                    eval_at: item.chunk.eval_at(row),
+                    prefix_high_water: item.prefix_high_water,
+                    instance: item.chunk.materialize(row),
+                });
             }
-            match item.payload {
-                ItemPayload::Owned(instance) => {
-                    // Move the instance into the record and back out: the
-                    // durable path never clones it.
-                    let record = WalRecord::Instance {
-                        seq: item.seq,
-                        eval_at: item.eval_at,
-                        prefix_high_water: item.prefix_high_water,
-                        instance,
-                    };
-                    self.wal_append(&record);
-                    let WalRecord::Instance { instance, .. } = record else {
-                        unreachable!("constructed above")
-                    };
-                    fresh.push((
-                        item.eval_at,
-                        item.prefix_high_water,
-                        ItemPayload::Owned(instance),
-                        meta,
-                    ));
-                }
-                payload => {
-                    // A shared copy or columnar row materializes a
-                    // standalone instance for the log; the payload
-                    // itself continues to evaluation.
-                    self.wal_append(&WalRecord::Instance {
-                        seq: item.seq,
-                        eval_at: item.eval_at,
-                        prefix_high_water: item.prefix_high_water,
-                        instance: payload.to_instance(),
-                    });
-                    fresh.push((item.eval_at, item.prefix_high_water, payload, meta));
-                }
-            }
+            fresh.push((item, meta));
         }
         if let Some(hw) = batch.high_water {
             self.wal_note_heartbeat(batch.seq, hw);
@@ -951,19 +963,23 @@ impl ShardWorker {
         };
         self.wal_commit();
         self.obs_acc(Stage::WalFsync, fsync_token);
-        for (eval_at, prefix_high_water, payload, meta) in fresh {
+        for (item, meta) in fresh {
             // Replaying the global watermark before each push keeps
             // accept/late-drop decisions identical to a 1-shard run
             // even when disorder exceeds the slack.
-            if let Some(hw) = prefix_high_water {
+            if let Some(hw) = item.prefix_high_water {
                 let token = self.obs_start();
                 let released = self.reorder.observe(hw);
                 self.obs_acc(Stage::ReorderRelease, token);
                 self.dispatch_all(released);
             }
-            let key = eval_at.unwrap_or_else(|| payload.generation_time());
+            let row = item.row as usize;
+            let key = item
+                .chunk
+                .eval_at(row)
+                .unwrap_or_else(|| item.chunk.generation_time(row));
             let token = self.obs_start();
-            let released = self.push_instance(key, payload, meta);
+            let released = self.push_instance(key, item.chunk, item.row, meta);
             self.obs_acc(Stage::ReorderRelease, token);
             self.dispatch_all(released);
         }
@@ -981,8 +997,10 @@ impl ShardWorker {
     /// normal evaluation path, rebuilding reorder-buffer and detector
     /// state and re-delivering the tail's notifications to the (freshly
     /// registered) sinks. Without a snapshot the tail is the whole log
-    /// — the PR 3 full-replay fallback, bit-identical. Nothing is
-    /// re-appended — the records are already on disk.
+    /// — the full-replay fallback, bit-identical. Nothing is
+    /// re-appended — the records are already on disk. Recovered and
+    /// restored instances are packed into chunks of up to `batch_size`
+    /// rows and travel the same data path as live ingest.
     ///
     /// # Panics
     ///
@@ -996,57 +1014,64 @@ impl ShardWorker {
         records: Vec<WalRecord>,
         durable_seq: Option<u64>,
         torn: u64,
+        batch_size: usize,
     ) {
         self.reorder.begin_recovery();
         self.durable_seq = durable_seq;
         self.metrics.wal.torn_truncations += torn;
         let mut snap_next = 0;
         if let Some(snap) = snapshot {
-            self.restore_state(&snap.state).unwrap_or_else(|e| {
-                panic!(
-                    "shard {}: snapshot epoch {} does not match the re-registered \
-                     subscription set ({e}) — re-register the original subscriptions \
-                     in the original order before resuming",
-                    self.shard, snap.epoch,
-                )
-            });
+            self.restore_state(&snap.state, batch_size)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "shard {}: snapshot epoch {} does not match the re-registered \
+                         subscription set ({e}) — re-register the original subscriptions \
+                         in the original order before resuming",
+                        self.shard, snap.epoch,
+                    )
+                });
             snap_next = snap.next_seq;
             self.metrics.snap.snapshots_loaded += 1;
         }
-        for record in records {
-            // The boundary segment holds records on both sides of the
-            // cut: everything below the snapshot's sequence watermark is
-            // already folded into the restored state. A heartbeat's
-            // stamp is the *exclusive* bound of the prefix it
-            // summarizes, so one stamped exactly at the cut is covered
-            // too.
-            let covered = match &record {
-                WalRecord::Heartbeat { seq, .. } => *seq <= snap_next,
-                other => other.seq() < snap_next,
-            };
-            if covered {
-                self.metrics.snap.tail_skipped += 1;
-                continue;
-            }
-            self.metrics.wal.records_recovered += 1;
+        // The boundary segment holds records on both sides of the cut:
+        // everything below the snapshot's sequence watermark is already
+        // folded into the restored state. A heartbeat's stamp is the
+        // *exclusive* bound of the prefix it summarizes, so one stamped
+        // exactly at the cut is covered too.
+        let mut tail = records;
+        let logged = tail.len();
+        tail.retain(|record| match record {
+            WalRecord::Heartbeat { seq, .. } => *seq > snap_next,
+            other => other.seq() >= snap_next,
+        });
+        self.metrics.snap.tail_skipped += (logged - tail.len()) as u64;
+        self.metrics.wal.records_recovered += tail.len() as u64;
+        let instances = tail.iter().filter_map(|record| match record {
+            WalRecord::Instance { instance, .. } => Some(instance),
+            _ => None,
+        });
+        let mut rows = pack_rows(batch_size, instances).into_iter();
+        for record in tail {
             match record {
                 WalRecord::Instance {
                     seq,
                     eval_at,
                     prefix_high_water,
-                    instance,
+                    ..
                 } => {
                     if let Some(hw) = prefix_high_water {
                         let released = self.reorder.observe(hw);
                         self.dispatch_all(released);
                     }
-                    let key = eval_at.unwrap_or_else(|| instance.generation_time());
+                    let (chunk, row) = rows.next().expect("one packed row per instance record");
+                    let key = eval_at.unwrap_or_else(|| chunk.generation_time(row as usize));
                     // Replayed records keep their trace identity but
                     // zero pre-release stamps: the recovered run's fresh
                     // clock restarts near zero.
                     let released = self.push_instance(
                         key,
-                        ItemPayload::Owned(instance),
+                        chunk,
+                        row,
                         ItemMeta {
                             seq,
                             ..ItemMeta::default()
@@ -1202,10 +1227,39 @@ impl ShardWorker {
     /// this worker's freshly re-registered plan store (the recovery
     /// contract — re-registering the original subscriptions in the
     /// original order — re-derives the same plan ids and subscriber
-    /// lists, so plans and subscribers resolve by id).
-    fn restore_state(&mut self, state: &[u8]) -> CodecResult<()> {
+    /// lists, so plans and subscribers resolve by id). Held instances
+    /// are packed into chunks of up to `batch_size` rows.
+    fn restore_state(&mut self, state: &[u8], batch_size: usize) -> CodecResult<()> {
+        // A chunk is shared only once it holds all its rows, so the
+        // held instances are decoded twice: the first pass collects and
+        // packs them, the second restores the buffer around the packed
+        // rows (restore is cold; the held set is bounded by the slack).
+        let mut held = Vec::new();
+        ReorderBuffer::<()>::default().load_state(&mut &state[..], |bytes| {
+            if let HeldItem::Instance(_, _, instance) = decode_stream_item(bytes)? {
+                held.push(instance);
+            }
+            Ok(())
+        })?;
+        let mut rows = pack_rows(batch_size, &held).into_iter();
         let bytes = &mut &state[..];
-        self.reorder.load_state(bytes, decode_stream_item)?;
+        self.reorder.load_state(bytes, |bytes| {
+            Ok(match decode_stream_item(bytes)? {
+                HeldItem::Instance(at, seq, _) => {
+                    let (chunk, row) = rows.next().expect("both passes decode the same items");
+                    StreamItem::Instance {
+                        at,
+                        chunk,
+                        row,
+                        meta: ItemMeta {
+                            seq,
+                            ..ItemMeta::default()
+                        },
+                    }
+                }
+                HeldItem::Probe(probe) => probe,
+            })
+        })?;
         self.probes = codec::get_u64(bytes)?;
         self.logged_high_water = codec::decode_opt_time_point(bytes)?;
         self.since_checkpoint = codec::get_u64(bytes)?;
@@ -1257,7 +1311,8 @@ impl ShardWorker {
     fn push_instance(
         &mut self,
         key: TimePoint,
-        payload: ItemPayload,
+        chunk: Arc<ColumnarBatch>,
+        row: u32,
         meta: ItemMeta,
     ) -> Vec<StreamItem> {
         if let Some(wt) = self.trace.as_mut() {
@@ -1265,8 +1320,13 @@ impl ShardWorker {
                 note_drop(wt, self.shard, TraceId(meta.seq), DropVerdict::Late);
             }
         }
-        self.reorder
-            .push_at(key, StreamItem::Instance(key, payload, meta))
+        let item = StreamItem::Instance {
+            at: key,
+            chunk,
+            row,
+            meta,
+        };
+        self.reorder.push_at(key, item)
     }
 
     fn dispatch_all(&mut self, released: Vec<StreamItem>) {
@@ -1276,7 +1336,12 @@ impl ShardWorker {
         let release = self.trace.as_ref().map_or(0, |wt| wt.clock.now());
         for item in released {
             match item {
-                StreamItem::Instance(at, payload, mut meta) => {
+                StreamItem::Instance {
+                    at,
+                    chunk,
+                    row,
+                    mut meta,
+                } => {
                     if let Some(wt) = self.trace.as_mut() {
                         meta.release = release;
                         if wt.samples_instance(TraceId(meta.seq)) {
@@ -1291,7 +1356,7 @@ impl ShardWorker {
                             });
                         }
                     }
-                    self.dispatch(at, &payload, meta);
+                    self.dispatch(at, &chunk, row as usize, meta);
                 }
                 StreamItem::Probe { id, at, seq } => {
                     let mut meta = ItemMeta {
@@ -1321,9 +1386,9 @@ impl ShardWorker {
     /// detector ONCE (memoized per dispatch) and fanning its output out
     /// to the matched subscribers in global registration order — so the
     /// delivery stream is bit-identical to evaluating one detector per
-    /// subscription. A columnar payload is only materialized into a
-    /// standalone instance when the filter pass matched something, so
-    /// non-matching rows never touch the attribute arena. The split is
+    /// subscription. The row is only materialized into a standalone
+    /// instance when the filter pass matched something, so non-matching
+    /// rows never touch the attribute arena. The split is
     /// what lets the filter cost (`scope_prune`) and the evaluation
     /// cost (`evaluate`) be timed as separate stages; it is
     /// behavior-preserving because the filters never read state the
@@ -1332,9 +1397,10 @@ impl ShardWorker {
     /// candidate must additionally be a spatial hit, so the counter's
     /// absolute value depends on which index served the dispatch; only
     /// its being nonzero is portable.)
-    fn dispatch(&mut self, at: TimePoint, payload: &ItemPayload, meta: ItemMeta) {
-        let location = payload.representative();
-        let layer = payload.layer();
+    fn dispatch(&mut self, at: TimePoint, chunk: &ColumnarBatch, row: usize, meta: ItemMeta) {
+        let location = chunk.representative(row);
+        let layer = chunk.layer(row);
+        let event = chunk.event(row);
         let shard = self.shard;
         let mut matched = std::mem::take(&mut self.match_scratch);
         matched.clear();
@@ -1352,10 +1418,7 @@ impl ShardWorker {
             bvh.query_point(location, &mut cands);
             cands.sort_unstable();
         } else {
-            let bucket = self
-                .by_event
-                .get(payload.event())
-                .map_or(&[][..], Vec::as_slice);
+            let bucket = self.by_event.get(event).map_or(&[][..], Vec::as_slice);
             let (mut i, mut j) = (0, 0);
             loop {
                 match (bucket.get(i), self.wildcard.get(j)) {
@@ -1387,8 +1450,8 @@ impl ShardWorker {
             if via_bvh {
                 // The buckets pre-filtered by event on the linear path;
                 // spatial hits check it here instead.
-                if let Some(event) = &plan.event_filter {
-                    if event != payload.event() {
+                if let Some(filter) = &plan.event_filter {
+                    if filter != event {
                         continue;
                     }
                 }
@@ -1442,35 +1505,20 @@ impl ShardWorker {
             }
         }
         let eval_token = self.obs_start();
-        // One evaluate stamp per *matched* released operation, taken
+        if matched.is_empty() {
+            // On dense streams most operations match no subscription:
+            // they never materialize and skip the evaluate clock read.
+            self.obs_acc(Stage::Evaluate, eval_token);
+            self.match_scratch = matched;
+            return;
+        }
+        // One evaluate stamp per matched released operation, taken
         // before the detectors run (every notification this dispatch
         // produces shares it; their notify stamps then order them).
-        // Unmatched operations produce nothing that could carry the
-        // stamp, so they skip the clock read — on dense streams most
-        // operations match no subscription, and this read would
-        // otherwise be the last per-instance tracing cost.
-        let evaluate = if matched.is_empty() {
-            0
-        } else {
-            self.trace.as_ref().map_or(0, |wt| wt.clock.now())
-        };
-        // One materialization per matched item, shared by every matched
-        // plan; owned payloads evaluate in place.
-        let materialized;
-        let instance: &EventInstance = match payload {
-            ItemPayload::Owned(instance) => instance,
-            ItemPayload::Shared(instance) => instance,
-            columnar if !matched.is_empty() => {
-                materialized = columnar.to_instance();
-                &materialized
-            }
-            _ => {
-                self.obs_acc(Stage::Evaluate, eval_token);
-                matched.clear();
-                self.match_scratch = matched;
-                return;
-            }
-        };
+        let evaluate = self.trace.as_ref().map_or(0, |wt| wt.clock.now());
+        // One materialization per matched row, shared by every matched
+        // plan.
+        let instance = &chunk.materialize(row);
         let shard32 = u32::try_from(shard).unwrap_or(u32::MAX);
         // Each plan evaluates once per dispatch, at its first matched
         // subscriber; the memo serves the rest. Matched plans per
@@ -1874,6 +1922,28 @@ mod tests {
         .build()
     }
 
+    /// Active samples at t=10 and t=30 as rows of one chunk, routed as
+    /// operations 0 and 1.
+    fn two_readings() -> Batch {
+        let mut chunk = ColumnarBatch::new();
+        chunk.push(&reading(10, 2.0));
+        chunk.push(&reading(30, 2.0));
+        let chunk = Arc::new(chunk);
+        let item = |seq: u64, prefix_high_water| BatchItem {
+            seq,
+            chunk: Arc::clone(&chunk),
+            row: seq as u32,
+            prefix_high_water,
+            trace: None,
+        };
+        Batch {
+            instances: vec![item(0, None), item(1, Some(TimePoint::new(10)))],
+            high_water: Some(TimePoint::new(30)),
+            seq: 2,
+            enqueue: 0,
+        }
+    }
+
     fn sustained_worker(collector: &Collector) -> ShardWorker {
         let region = SpatialExtent::field(Field::rect(Rect::new(
             Point::new(0.0, 0.0),
@@ -1912,32 +1982,13 @@ mod tests {
         // Active samples at t=10 and t=30 open a qualifying episode
         // (episodes end at their last active sample, so a single sample
         // would make a zero-length, unreported episode).
-        worker.handle(ShardMessage::Batch(Batch {
-            instances: vec![
-                BatchItem {
-                    seq: 0,
-                    payload: reading(10, 2.0).into(),
-                    eval_at: None,
-                    prefix_high_water: None,
-                    trace: None,
-                },
-                BatchItem {
-                    seq: 1,
-                    payload: reading(30, 2.0).into(),
-                    eval_at: None,
-                    prefix_high_water: Some(TimePoint::new(10)),
-                    trace: None,
-                },
-            ],
-            high_water: Some(TimePoint::new(30)),
-            seq: 2,
-            enqueue: 0,
-        }));
+        worker.handle(ShardMessage::Batch(two_readings()));
         worker.handle(ShardMessage::Recover {
             snapshot: None,
             records: Vec::new(),
             durable_seq: None,
             torn: 0,
+            batch_size: 4,
         });
         // Dropped: the shard is still replaying its log.
         worker.handle(ShardMessage::SilenceProbe {
@@ -1993,31 +2044,12 @@ mod tests {
             ],
             durable_seq: Some(1),
             torn: 0,
+            batch_size: 4,
         });
         worker.handle(ShardMessage::EndRecovery);
         // The upstream re-feeds from sequence 0: the shard already has
         // both samples.
-        worker.handle(ShardMessage::Batch(Batch {
-            instances: vec![
-                BatchItem {
-                    seq: 0,
-                    payload: reading(10, 2.0).into(),
-                    eval_at: None,
-                    prefix_high_water: None,
-                    trace: None,
-                },
-                BatchItem {
-                    seq: 1,
-                    payload: reading(30, 2.0).into(),
-                    eval_at: None,
-                    prefix_high_water: Some(TimePoint::new(10)),
-                    trace: None,
-                },
-            ],
-            high_water: Some(TimePoint::new(30)),
-            seq: 2,
-            enqueue: 0,
-        }));
+        worker.handle(ShardMessage::Batch(two_readings()));
         // Fresh work (seq 2) processes normally and closes the episode.
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
@@ -2096,27 +2128,7 @@ mod tests {
         worker.handle(ShardMessage::Subscribe(Box::new(
             SubscriptionState::compile(SubscriptionId(0), PlanId(0), sub),
         )));
-        worker.handle(ShardMessage::Batch(Batch {
-            instances: vec![
-                BatchItem {
-                    seq: 0,
-                    payload: reading(10, 2.0).into(),
-                    eval_at: None,
-                    prefix_high_water: None,
-                    trace: None,
-                },
-                BatchItem {
-                    seq: 1,
-                    payload: reading(30, 2.0).into(),
-                    eval_at: None,
-                    prefix_high_water: Some(TimePoint::new(10)),
-                    trace: None,
-                },
-            ],
-            high_water: Some(TimePoint::new(30)),
-            seq: 2,
-            enqueue: 0,
-        }));
+        worker.handle(ShardMessage::Batch(two_readings()));
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
             at: TimePoint::new(100),
@@ -2149,6 +2161,7 @@ mod tests {
             records: Vec::new(),
             durable_seq: Some(2),
             torn: 0,
+            batch_size: 4,
         });
         // A live probe racing the recovery window is still suppressed
         // across the snapshot boundary...

@@ -5,7 +5,7 @@
 use stem_cep::{ConsumptionMode, Pattern, SustainedConfig, SustainedEvent};
 use stem_core::{
     dsl, Attributes, CcuId, ConditionObserver, EventId, EventInstance, Layer, MoteId, ObserverId,
-    SeqNo,
+    SeqNo, TimedInstance,
 };
 use stem_engine::{Collector, Engine, EngineConfig, NotificationKind, Subscription};
 use stem_spatial::{Circle, Field, Point, Rect, SpatialExtent};
@@ -1503,14 +1503,15 @@ fn shared_plan_subscribers_match_their_solo_runs() {
 use proptest::prelude::*;
 
 proptest! {
-    /// Columnar ingest ([`Engine::ingest_all`]) is semantically
-    /// identical to the per-instance path: same notification multiset
-    /// and same routing counters, across random streams × region sets ×
-    /// shard counts × chunk sizes × both execution modes — the columnar
-    /// chunking, arena-backed rows, and shared-batch routing are pure
-    /// layout changes.
+    /// Every ingest entry point — `ingest` per instance, `ingest_at` at
+    /// the generation time, `pump` over a recorded source, and
+    /// `ingest_all` — delivers exactly what a brute-force oracle
+    /// (every instance × every circle: event filter plus coverage of
+    /// the representative point) predicts, across random streams ×
+    /// region sets × shard counts × chunk sizes × both execution modes,
+    /// and all four agree on the routing counters.
     #[test]
-    fn columnar_ingest_matches_per_instance_path(
+    fn every_ingest_entry_point_matches_a_brute_force_oracle(
         regions in proptest::collection::vec(
             (0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0), 1..16),
         points in proptest::collection::vec(
@@ -1519,7 +1520,30 @@ proptest! {
         batch in 1usize..40,
         threaded in proptest::bool::ANY,
     ) {
-        let run = |columnar: bool| {
+        let circles: Vec<SpatialExtent> =
+            regions.iter().map(|&(x, y, r)| circle_region(x, y, r)).collect();
+        // Every seventh instance carries another event id, so the
+        // subscriptions' event filter is exercised too.
+        let stream: Vec<EventInstance> = points
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y))| {
+                let event = if i % 7 == 3 { "noise" } else { "reading" };
+                mk(event, i as u64, 10 * i as u64, x, y, 50.0)
+            })
+            .collect();
+        let mut oracle: Vec<String> = Vec::new();
+        for instance in &stream {
+            let p = instance.estimated_location().representative();
+            for circle in &circles {
+                if instance.event().as_str() == "reading" && circle.covers(p) {
+                    oracle.push(format!("{:?}", NotificationKind::Match(instance.clone())));
+                }
+            }
+        }
+        oracle.sort();
+
+        let run = |entry: &str| {
             let mut config = EngineConfig::new(bounds())
                 .with_shards(shards)
                 .with_batch_size(batch);
@@ -1528,36 +1552,56 @@ proptest! {
             }
             let mut engine = Engine::start(config);
             let collector = Collector::new();
-            for (i, &(x, y, r)) in regions.iter().enumerate() {
+            for (i, circle) in circles.iter().enumerate() {
                 engine.subscribe(
-                    Subscription::new(format!("r{i}"), circle_region(x, y, r), collector.sink())
+                    Subscription::new(format!("r{i}"), circle.clone(), collector.sink())
                         .for_event("reading"),
                 );
             }
-            let stream: Vec<EventInstance> = points
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, y))| mk("reading", i as u64, 10 * i as u64, x, y, 50.0))
-                .collect();
-            if columnar {
-                engine.ingest_all(stream);
-            } else {
-                for instance in stream {
-                    engine.ingest(instance);
+            match entry {
+                "ingest" => {
+                    for instance in &stream {
+                        engine.ingest(instance.clone());
+                    }
                 }
+                "ingest_at" => {
+                    for instance in &stream {
+                        engine.ingest_at(instance.clone(), instance.generation_time());
+                    }
+                }
+                "pump" => {
+                    let recorded: Vec<TimedInstance> = stream
+                        .iter()
+                        .map(|instance| TimedInstance {
+                            at: instance.generation_time(),
+                            instance: instance.clone(),
+                        })
+                        .collect();
+                    engine.pump(&mut recorded.into_iter());
+                }
+                _ => engine.ingest_all(&stream),
             }
             let report = engine.finish();
-            (notification_multiset(collector.take()), report)
+            (notification_multiset(collector.take()), report.router)
         };
-        let (per_instance_notes, per_instance) = run(false);
-        let (columnar_notes, columnar) = run(true);
-        prop_assert_eq!(per_instance_notes, columnar_notes, "delivery multisets diverged");
-        prop_assert_eq!(per_instance.router.routed, columnar.router.routed);
-        prop_assert_eq!(per_instance.router.fanout, columnar.router.fanout);
-        prop_assert_eq!(
-            per_instance.router.precision_skipped,
-            columnar.router.precision_skipped
-        );
+        let mut first: Option<stem_engine::RouterMetrics> = None;
+        for name in ["ingest", "ingest_at", "pump", "ingest_all"] {
+            let (notes, router) = run(name);
+            prop_assert_eq!(&notes, &oracle, "{} diverged from the oracle", name);
+            if let Some(reference) = &first {
+                prop_assert_eq!(reference.routed, router.routed, "{} routed", name);
+                prop_assert_eq!(reference.fanout, router.fanout, "{} fanout", name);
+                prop_assert_eq!(
+                    reference.precision_skipped,
+                    router.precision_skipped,
+                    "{} precision_skipped",
+                    name
+                );
+            } else {
+                prop_assert_eq!(router.routed, stream.len() as u64);
+                first = Some(router);
+            }
+        }
     }
 
     /// Scoped-vs-unscoped equivalence: wrapping a subscription's region

@@ -140,7 +140,7 @@ impl ShardWal {
     }
 
     /// The segment index the next append lands in: the open segment, or
-    /// the one [`ShardWal::roll_segment`] would create. Everything in
+    /// the one the next append would open. Everything in
     /// segments *below* this index is already written (a snapshot cut
     /// after a [`ShardWal::sync`] covers them entirely), which is what
     /// makes the index the compaction bound recorded in checkpoint

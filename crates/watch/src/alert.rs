@@ -38,7 +38,7 @@ pub struct HealthAlert {
     /// The rule's threshold.
     pub threshold: u64,
     /// The constituent snapshot seqs (`began_seq..=fired_seq`, newest
-    /// kept when capped at [`MAX_CONSTITUENTS`]) — each resolves to a
+    /// kept when capped at 32, `MAX_CONSTITUENTS`) — each resolves to a
     /// real `ObsSnapshot` in the registry ring or export.
     pub constituents: Vec<u64>,
 }
