@@ -201,7 +201,8 @@ pub enum ExecutionMode {
     /// One OS thread per shard, batches handed off over bounded
     /// steal-queue slots (see `slot.rs`) whose published progress
     /// counters make barriers wait-free for clean shards (the
-    /// production mode).
+    /// production mode). A parked worker wakes when its queue fills,
+    /// when [`crate::Engine::flush`] finds it behind, or at shutdown.
     Threaded,
     /// All shards run inline on the calling thread, processed in shard
     /// order at every handoff. Same code path as [`Self::Threaded`]
@@ -249,7 +250,11 @@ pub struct EngineConfig {
     pub watermark_slack: Duration,
     /// Bounded steal-queue depth per shard, in batches. A full queue
     /// blocks the ingesting thread until the shard drains (or drains it
-    /// inline): backpressure is lossless.
+    /// inline): backpressure is lossless. The depth also bounds how many
+    /// batches a closed-loop caller that never flushes hands over per
+    /// worker wakeup; it does not bound latency, because
+    /// [`crate::Engine::flush`] wakes a parked worker whatever its
+    /// queue holds.
     pub queue_capacity: usize,
     /// Threaded or inline-deterministic execution.
     pub mode: ExecutionMode,

@@ -50,7 +50,9 @@ enum Backend {
     Inline(Vec<ShardWorker>),
     /// One thread per shard behind a steal-queue slot (see
     /// [`ShardSlot`]): barriers skip clean shards entirely and drain
-    /// dirty ones inline instead of waiting for a wakeup.
+    /// dirty ones inline instead of waiting for a wakeup; a parked
+    /// worker runs on its own when its queue fills or when
+    /// [`Engine::flush`] wakes it.
     Threaded {
         slots: Vec<Arc<ShardSlot>>,
         handles: Vec<JoinHandle<crate::metrics::ShardMetrics>>,
@@ -1033,7 +1035,7 @@ impl Engine {
             matches!(self.config.durability, Durability::Wal { .. }),
             "Engine::checkpoint requires Durability::Wal"
         );
-        self.flush();
+        self.cut_batches();
         let epoch = self.epoch;
         self.epoch += 1;
         let next_seq = self.router.seq();
@@ -1084,14 +1086,16 @@ impl Engine {
     /// two atomic loads and no cross-thread traffic at all, and a dirty
     /// shard's remaining queue is *stolen* from its steal-queue slot and
     /// drained inline on the calling thread instead of parking on an ack
-    /// round trip. No sync messages, no wakeups, no context switches.
-    /// The flush underneath still cuts heartbeat-only batches only when
+    /// round trip. No sync messages, no wakeups, no context switches:
+    /// unlike [`Engine::flush`], `sync` never wakes a parked worker,
+    /// which would only race this thread for the worker lock. The
+    /// batch cut underneath still cuts heartbeat-only batches only when
     /// the stream clock advanced and the shard might act on it (a
     /// heartbeat to an idle shard with an empty reorder buffer is
     /// suppressed), so a caller syncing once per delivery pays for
     /// exactly the shards that delivery touched.
     pub fn sync(&mut self) {
-        self.flush();
+        self.cut_batches();
         let dirty: Vec<usize> = match &self.backend {
             Backend::Inline(_) => return,
             Backend::Threaded { slots, .. } => slots
@@ -1120,12 +1124,35 @@ impl Engine {
         self.obs_record_minus(Stage::BarrierWait, token, stolen_ns);
     }
 
-    /// Flushes every partially-filled batch without shutting down,
-    /// and sends the current watermark heartbeat to *every* shard — a
-    /// shard whose territory has gone quiet otherwise holds reordered
-    /// instances until [`Engine::finish`]. Live-stream drivers should
-    /// call this periodically.
+    /// Makes everything ingested so far visible without blocking or
+    /// shutting down. Every partially-filled batch is cut, and every
+    /// shard that might act on the current watermark heartbeat gets it:
+    /// a shard whose territory has gone quiet otherwise holds reordered
+    /// instances until [`Engine::finish`]. The heartbeat is suppressed
+    /// for a shard that is idle with an empty reorder buffer, since
+    /// advancing its clock would release nothing.
+    ///
+    /// In threaded mode, every shard whose worker has not processed all
+    /// it was sent is then woken if parked, so the backlog is evaluated
+    /// now rather than when the queue next fills. `flush` does not wait
+    /// for that work; [`Engine::sync`] does, by stealing the backlog
+    /// onto the calling thread instead of waking anyone. Live-stream
+    /// drivers should call this after each chunk they ingest.
     pub fn flush(&mut self) {
+        self.cut_batches();
+        if let Backend::Threaded { slots, .. } = &self.backend {
+            for (slot, &sent) in slots.iter().zip(&self.sent_msgs) {
+                if slot.processed() < sent {
+                    slot.wake();
+                }
+            }
+        }
+    }
+
+    /// Hands every shard its pending batch (see [`Engine::flush_shard`])
+    /// without waking anyone: the half of [`Engine::flush`] that
+    /// barriers, checkpoints, and shutdown use before they drain.
+    fn cut_batches(&mut self) {
         for shard in 0..self.config.shard_count {
             self.flush_shard(shard);
         }
@@ -1139,7 +1166,7 @@ impl Engine {
     /// Panics if a shard worker panicked.
     #[must_use]
     pub fn finish(mut self) -> EngineReport {
-        self.flush();
+        self.cut_batches();
         self.shutdown()
     }
 
@@ -1154,7 +1181,7 @@ impl Engine {
     /// Panics if a shard worker panicked.
     #[must_use]
     pub fn finish_at(mut self, horizon: TimePoint) -> EngineReport {
-        self.flush();
+        self.cut_batches();
         for shard in 0..self.config.shard_count {
             self.send(shard, ShardMessage::Finalize(horizon));
         }

@@ -35,6 +35,11 @@
 //!   batches over bounded per-shard steal-queue slots. A barrier (`sync`
 //!   / `finish`) skips shards whose published processed counter already
 //!   matches what was sent: clean shards cost zero cross-thread traffic.
+//! * A parked shard worker wakes at three points only: its queue fills,
+//!   [`Engine::flush`] finds it behind what was sent, or shutdown
+//!   closes the queue. Live drivers call `flush` after each chunk, so a
+//!   notification waits for one chunk, not a full queue. `sync` never
+//!   wakes a worker: it drains a dirty shard's backlog inline instead.
 //! * Each batch carries the router's global maximum generation time as a
 //!   watermark heartbeat; shard workers apply it to their
 //!   [`stem_cep::ReorderBuffer`] so late-drop decisions match a

@@ -22,6 +22,14 @@
 //!
 //! Either way a barrier costs at most one uncontended lock per dirty
 //! shard and no context switches on the sync path.
+//!
+//! A parked worker is woken at exactly three points: when its queue
+//! fills ([`ShardSlot::send`], amortizing the wakeup over `capacity`
+//! messages), when a live driver calls `Engine::flush`
+//! ([`ShardSlot::wake`], bounding how long ingested work waits to be
+//! evaluated), and at close. A control message (subscribe, unsubscribe,
+//! recover) wakes it only by filling the queue, and a barrier never
+//! does: it steals the backlog instead.
 
 use crate::metrics::ShardMetrics;
 use crate::worker::{ShardMessage, ShardWorker};
@@ -82,13 +90,14 @@ impl ShardSlot {
     }
 
     /// Enqueues a message. Sends below capacity cost one uncontended
-    /// lock and **no wakeup**: the worker is only notified when the
-    /// queue fills (amortizing thread wakeups over `capacity` messages)
-    /// or at close — in between, barriers and checkpoints steal the
-    /// backlog inline. On a full queue the engine races the worker for
-    /// the drain: if the worker is already draining (holds its lock)
-    /// the engine waits for room, otherwise the engine — already
-    /// running, no context switch — drains the backlog itself.
+    /// lock and **no wakeup**: the worker is notified only when the
+    /// queue fills (amortizing thread wakeups over `capacity` messages),
+    /// when `Engine::flush` calls [`ShardSlot::wake`], or at close — in
+    /// between, barriers and checkpoints steal the backlog inline. On a
+    /// full queue the engine races the worker for the drain: if the
+    /// worker is already draining (holds its lock) the engine waits for
+    /// room, otherwise the engine — already running, no context switch
+    /// — drains the backlog itself.
     pub(crate) fn send(&self, message: ShardMessage) {
         let mut message = Some(message);
         loop {
@@ -115,6 +124,16 @@ impl ShardSlot {
                     .expect("shard worker panicked");
             }
         }
+    }
+
+    /// Wakes the worker if it is parked on an empty-queue wait, so it
+    /// drains what was sent without waiting for the queue to fill. A
+    /// worker that is already draining is not waiting, so this is a
+    /// no-op for it. No lost wakeup: every message was pushed under the
+    /// queue lock, and the worker re-checks the queue under that lock
+    /// before it parks.
+    pub(crate) fn wake(&self) {
+        self.not_empty.notify_one();
     }
 
     /// Closes the queue: the worker thread drains what is left, runs

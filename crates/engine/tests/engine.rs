@@ -281,6 +281,48 @@ fn threaded_backpressure_block_is_lossless() {
 }
 
 #[test]
+fn flush_wakes_a_parked_threaded_worker() {
+    // Three batches and a subscribe, far below the 64-batch queue: a
+    // worker woken only by a full queue would stay parked until finish.
+    let config = EngineConfig::new(bounds())
+        .with_shards(1)
+        .with_batch_size(4)
+        .with_queue_capacity(64);
+    let run = |config: EngineConfig, collector: &Collector| {
+        let mut engine = Engine::start(config);
+        engine.subscribe(Subscription::new(
+            "near",
+            circle_region(25.0, 25.0, 15.0),
+            collector.sink(),
+        ));
+        for i in 0..10u64 {
+            engine.ingest(mk("reading", i, i, 25.0, 25.0, 50.0));
+        }
+        engine.flush();
+        engine
+    };
+    let reference = Collector::new();
+    let inline = run(config.clone().deterministic(), &reference);
+    let expected = reference.len();
+    assert!(expected > 0, "the reference delivers right after flush");
+    let _ = inline.finish();
+
+    let collector = Collector::new();
+    let engine = run(config, &collector);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while collector.len() < expected {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "flush left the worker parked: {} of {expected} delivered",
+            collector.len()
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let _ = engine.finish();
+    assert_eq!(collector.len(), expected);
+}
+
+#[test]
 fn metrics_account_for_the_stream() {
     let mut engine = Engine::start(
         EngineConfig::new(bounds())

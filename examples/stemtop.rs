@@ -291,8 +291,9 @@ fn main() {
         }
     }
 
-    // The producer: a bounded stream with periodic syncs, paced so the
-    // viewer below catches the engine mid-flight.
+    // The producer: a live driver paced so the viewer below catches the
+    // engine mid-flight. It flushes after every chunk, which wakes the
+    // shard workers to evaluate between the periodic syncs.
     let producer = thread::spawn(move || {
         let mut rng = SmallRng::seed_from_u64(SEED);
         for c in 0..CHUNKS {
@@ -300,6 +301,7 @@ fn main() {
             // arena batches, so the batch_build/batch_reset stage rows
             // below carry real samples.
             engine.ingest_all(chunk(&mut rng, (c * CHUNK) as u64));
+            engine.flush();
             if c % 16 == 15 {
                 engine.sync();
             }
