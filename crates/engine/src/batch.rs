@@ -1,15 +1,74 @@
 //! The unit of handoff between router and shard workers.
 //!
-//! Every routed instance is a row of a shared [`ColumnarBatch`] chunk:
-//! the engine's ingest entry points fill chunks, the router iterates
-//! their dense columns, and shard workers keep a reference to the chunk
-//! plus the row index. A broadcast to several shards costs one `Arc`
-//! bump per copy, and the full [`stem_core::EventInstance`] is only
-//! re-materialized for rows that reach evaluation or durable logging.
+//! Every routed instance is a row of a shared [`RoutedChunk`], whose
+//! hit column the router fills; a shard keeps a [`RowRef`] to the row
+//! and its hits there. A broadcast costs one `Arc` bump per copy, and
+//! only rows that reach evaluation or durable logging materialize.
 
+use crate::plan::PlanId;
+use std::ops::Range;
 use std::sync::Arc;
 use stem_core::ColumnarBatch;
 use stem_temporal::TimePoint;
+
+/// A covering `(plan, scope slot)` pair from the router's precision
+/// pass: the plan accepts the row's layer, and the scope at `slot` of
+/// its interest covers the row's location.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Hit {
+    /// The covering plan.
+    pub plan: PlanId,
+    /// The covering scope's position in the plan interest's scope list.
+    pub slot: u32,
+}
+
+/// An ingest chunk plus the router's hit column: each routed
+/// `(row, shard)` copy owns a contiguous run of `hits`, sorted by
+/// `(plan, slot)`. The engine pools chunks and refills them once every
+/// shard has dropped its rows, so neither column is reallocated per
+/// chunk in steady state.
+#[derive(Debug, Default)]
+pub struct RoutedChunk {
+    /// The instances, one row each.
+    pub rows: ColumnarBatch,
+    /// Every routed copy's hits, back to back.
+    pub hits: Vec<Hit>,
+}
+
+impl RoutedChunk {
+    /// Empties both columns, keeping their capacity.
+    pub fn reset(&mut self) {
+        self.rows.reset();
+        self.hits.clear();
+    }
+}
+
+/// One row of a routed chunk as one shard sees it.
+#[derive(Debug, Clone)]
+pub struct RowRef {
+    /// The chunk holding the row (shared by every row routed from it and
+    /// every broadcast copy).
+    pub chunk: Arc<RoutedChunk>,
+    /// The row's index in the chunk.
+    pub index: u32,
+    /// The row's hits for this shard, as a range of the chunk's hit
+    /// column (empty for an owner copy no interest covers).
+    pub hits: Range<u32>,
+}
+
+impl RowRef {
+    /// The row's hits for this shard, sorted by `(plan, slot)`.
+    pub fn hits(&self) -> &[Hit] {
+        &self.chunk.hits[self.hits.start as usize..self.hits.end as usize]
+    }
+
+    /// The row's stream-clock sample: its evaluation time when the
+    /// ingest call supplied one, its generation time otherwise.
+    pub fn key(&self) -> TimePoint {
+        let (rows, i) = (&self.chunk.rows, self.index as usize);
+        rows.eval_at(i).unwrap_or_else(|| rows.generation_time(i))
+    }
+}
 
 /// Trace-clock stamps a routed item accumulated before handoff (absent
 /// with [`crate::TracePolicy::Off`]). The remaining stages (release,
@@ -26,9 +85,9 @@ pub struct ItemTrace {
     pub route: u64,
 }
 
-/// One routed instance — row `row` of the shared ingest `chunk` — plus
-/// the router's high-water mark over the strict prefix of the stream
-/// before it.
+/// One routed instance — a [`RowRef`] into the shared ingest chunk —
+/// plus the router's high-water mark over the strict prefix of the
+/// stream before it.
 ///
 /// Applying `prefix_high_water` to the shard's reorder buffer *before*
 /// pushing the instance reproduces the exact accept/late-drop decision
@@ -43,14 +102,11 @@ pub struct BatchItem {
     /// *operation*, which is what write-ahead logging and post-recovery
     /// deduplication key on.
     pub seq: u64,
-    /// The ingest chunk holding the instance (shared by every row routed
-    /// from it and every broadcast copy). The row's evaluation time
-    /// ([`ColumnarBatch::eval_at`]) is the reorder key and the clock
-    /// pattern/sustained evaluation runs on; `None` falls back to the
-    /// generation time.
-    pub chunk: Arc<ColumnarBatch>,
-    /// The instance's row in `chunk`.
-    pub row: u32,
+    /// The instance's row and its hits for the receiving shard. The
+    /// row's evaluation time ([`ColumnarBatch::eval_at`]) is the reorder
+    /// key and the clock pattern/sustained evaluation runs on; `None`
+    /// falls back to the generation time.
+    pub row: RowRef,
     /// Maximum stream-clock value over all instances routed strictly
     /// before this one (`None` for the stream's first instance).
     pub prefix_high_water: Option<TimePoint>,

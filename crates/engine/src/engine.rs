@@ -1,6 +1,7 @@
 //! The engine facade: lifecycle, ingestion, subscription management,
 //! crash recovery.
 
+use crate::batch::RoutedChunk;
 use crate::config::{
     CheckpointPolicy, Durability, EngineConfig, ExecutionMode, ShardId, TelemetryPolicy,
     TracePolicy, WatchPolicy,
@@ -12,9 +13,9 @@ use crate::shard_map::ShardMap;
 use crate::slot::ShardSlot;
 use crate::subscription::{Subscription, SubscriptionId};
 use crate::trace::{FlightRing, TraceHandle, TraceReport, WorkerTrace};
-use crate::worker::{ShardMessage, ShardWorker, SubscriptionState, WorkerObs};
+use crate::worker::{held_instances, PlanState, ShardMessage, ShardWorker, WorkerObs};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -63,7 +64,7 @@ enum Backend {
 /// canonical template every structurally-identical subscription on the
 /// same home shard collapses into. The entry tracks how many
 /// subscribers ride the plan (last-out retires it) and which routing
-/// scopes the plan's router interest already unions.
+/// scopes the plan's router interest already unions, at which slot.
 struct PlanEntry {
     /// The canonical template key ([`plan_key`]) — removed from the
     /// dedupe map when the last subscriber leaves.
@@ -72,9 +73,9 @@ struct PlanEntry {
     home: ShardId,
     /// Live subscriber count.
     subscribers: u64,
-    /// Debug-rendered scopes already added to the router interest, so
-    /// identical scopes don't rebuild the BVH or re-union the bbox.
-    scopes: BTreeSet<String>,
+    /// Debug-rendered scopes already in the router interest, with their
+    /// slots there: identical scopes share a slot and skip the router.
+    scopes: BTreeMap<String, u32>,
 }
 
 /// The streaming runtime. See the crate docs for the architecture.
@@ -123,7 +124,7 @@ pub struct Engine {
     /// Routed ingest chunks, oldest first, waiting for every shard to
     /// drop its rows so [`Engine::ingest_rows`] can refill them (at
     /// most [`POOL_DEPTH`] + 1).
-    pool: Vec<Arc<ColumnarBatch>>,
+    pool: Vec<Arc<RoutedChunk>>,
     /// Per-shard flight-recorder rings (empty with [`TracePolicy::Off`]);
     /// the workers write, [`Engine::trace`] and shutdown read.
     trace_rings: Vec<Arc<Mutex<FlightRing>>>,
@@ -461,40 +462,46 @@ impl Engine {
     /// routing scope's center, or of the home hint clamped into the
     /// scope) and returns its id.
     ///
-    /// Ordering: the subscription observes every instance its home
-    /// shard's reorder buffer releases after this call — all later
-    /// ingests, plus any earlier ones that actually reached the shard
-    /// and are still held behind the watermark at registration time.
-    /// (Without durable logging the router drops deliveries no
-    /// then-registered subscription covers, so a late subscriber only
-    /// sees held instances that some earlier interest — or the owner
-    /// copy kept by [`Durability::Wal`] — brought to its home shard.)
+    /// Ordering: the subscription observes exactly the instances
+    /// ingested after `subscribe` returns — not earlier ones still held
+    /// behind the watermark — so what a late subscription sees does not
+    /// depend on the shard count, the execution mode, or durability.
     pub fn subscribe(&mut self, subscription: Subscription) -> SubscriptionId {
+        let since = self.router.seq();
+        self.register(subscription, since)
+    }
+
+    /// Registers a subscription that observes instances with ingest
+    /// sequence `since` and later (see [`Engine::subscribe`]).
+    fn register(&mut self, subscription: Subscription, since: u64) -> SubscriptionId {
         let id = SubscriptionId(self.next_subscription);
         self.next_subscription += 1;
         let scope = subscription.routing_scope().clone();
         let home = self.router.home_for(&scope, subscription.home_hint);
         let key = plan_key(&subscription, home, id);
-        let plan = match self.plan_keys.get(&key) {
+        let scope_tag = format!("{scope:?}");
+        let (plan, slot) = match self.plan_keys.get(&key) {
             Some(&plan) => {
                 // Join an existing plan: one more subscriber on the
                 // same detector instance. Widen the router interest
-                // only if this scope is genuinely new to the plan.
+                // only if this scope is genuinely new to the plan; it
+                // then takes the interest's next slot.
                 let entry = self
                     .plan_entries
                     .get_mut(&plan.raw())
                     .expect("keyed plan has an entry");
                 entry.subscribers += 1;
-                if entry.scopes.insert(format!("{scope:?}")) {
+                let next = entry.scopes.len() as u32;
+                let slot = *entry.scopes.entry(scope_tag).or_insert_with(|| {
                     self.router
                         .add_scope(plan, scope, subscription.layers.as_deref());
-                }
-                plan
+                    next
+                });
+                (plan, slot)
             }
             None => {
                 let plan = PlanId(self.next_plan);
                 self.next_plan += 1;
-                let scope_tag = format!("{scope:?}");
                 let routed_home = self.router.subscribe(
                     plan,
                     scope,
@@ -509,14 +516,14 @@ impl Engine {
                         key,
                         home,
                         subscribers: 1,
-                        scopes: BTreeSet::from([scope_tag]),
+                        scopes: BTreeMap::from([(scope_tag, 0)]),
                     },
                 );
-                plan
+                (plan, 0)
             }
         };
         self.sub_plans.insert(id.raw(), plan);
-        let state = SubscriptionState::compile(id, plan, subscription);
+        let state = PlanState::compile(id, plan, slot, since, subscription);
         // Flush anything already routed so registration order is
         // preserved relative to the instance stream.
         self.flush_shard(home);
@@ -628,13 +635,12 @@ impl Engine {
             self.obs_record(Stage::BatchReset, reset_token);
             let build_token = self.obs_span();
             for (instance, eval_at) in rows.by_ref().take(chunk_rows) {
-                chunk.push_at(instance.borrow(), eval_at, ingest_stamp);
+                chunk.rows.push_at(instance.borrow(), eval_at, ingest_stamp);
             }
             self.obs_record(Stage::BatchBuild, build_token);
-            let shared = Arc::new(chunk);
             let ingest_token = self.obs_span();
             let route_token = self.obs_span();
-            let full = self.router.route_batch(&shared);
+            let (shared, full) = self.router.route_batch(chunk);
             self.obs_record(Stage::Route, route_token);
             for shard in full {
                 self.flush_shard(shard);
@@ -647,10 +653,10 @@ impl Engine {
     }
 
     /// An empty chunk to fill: the first pooled chunk every shard has
-    /// let go of, reset (keeping its arena capacity and interners), or
-    /// a fresh one with `rows` rows reserved up front. `try_unwrap`
-    /// cannot race: this thread holds the only other clone.
-    fn recycled_chunk(&mut self, rows: usize) -> ColumnarBatch {
+    /// let go of, reset (keeping its arena, hit-column capacity, and
+    /// interners), or a fresh one with `rows` rows reserved up front.
+    /// `try_unwrap` cannot race: this thread holds the only other clone.
+    fn recycled_chunk(&mut self, rows: usize) -> RoutedChunk {
         if let Some(idx) = self.pool.iter().position(|c| Arc::strong_count(c) == 1) {
             if let Ok(mut chunk) = Arc::try_unwrap(self.pool.swap_remove(idx)) {
                 chunk.reset();
@@ -665,7 +671,10 @@ impl Engine {
         // One reserve per column instead of geometric growth re-paid on
         // every chunk (with lazily-woken workers, whole ingest runs can
         // pass before anything is reclaimable).
-        ColumnarBatch::with_capacity(rows)
+        RoutedChunk {
+            rows: ColumnarBatch::with_capacity(rows),
+            hits: Vec::new(),
+        }
     }
 
     /// Re-feeds a recorded operation stream ([`stem_wal::Replay::records`])
@@ -1392,9 +1401,10 @@ pub struct Recovery {
 impl Recovery {
     /// Re-registers a subscription. Call in the original registration
     /// order so ids — which logged probe records and snapshot detector
-    /// state reference — line up.
+    /// state reference — line up. A re-registered subscription observes
+    /// the whole recovered stream, from ingest sequence 0.
     pub fn subscribe(&mut self, subscription: Subscription) -> SubscriptionId {
-        self.engine.subscribe(subscription)
+        self.engine.register(subscription, 0)
     }
 
     /// What recovery found on disk.
@@ -1427,18 +1437,44 @@ impl Recovery {
     /// Restores every shard's snapshot state, replays its durable tail
     /// records, and returns the live engine, ready for the upstream
     /// re-feed from [`Engine::resume_from`].
+    /// The snapshot's held instances and the tail's instances are packed
+    /// into routed rows here, with hits from the live precision pass
+    /// over the re-registered subscriptions.
     #[must_use]
     pub fn resume(mut self) -> Engine {
+        let batch_size = self.engine.config.batch_size;
         for plan in self.plan {
             let shard = plan.recovered.shard;
+            // The boundary segment holds records on both sides of the
+            // snapshot's cut; those below it are folded into the restored
+            // state. A heartbeat's stamp is the *exclusive* bound of the
+            // prefix it summarizes, so one stamped at the cut is covered.
+            let snap_next = plan.snapshot.as_ref().map_or(0, |s| s.next_seq);
+            let mut records = plan.recovered.records;
+            let logged = records.len();
+            records.retain(|record| match record {
+                WalRecord::Heartbeat { seq, .. } => *seq > snap_next,
+                other => other.seq() >= snap_next,
+            });
+            let router = &mut self.engine.router;
+            let held = plan.snapshot.as_ref().map_or_else(Vec::new, |s| {
+                router.pack_rows(shard, batch_size, &held_instances(&s.state))
+            });
+            let instances = records.iter().filter_map(|record| match record {
+                WalRecord::Instance { instance, .. } => Some(instance),
+                _ => None,
+            });
+            let rows = router.pack_rows(shard, batch_size, instances);
             self.engine.send(
                 shard,
                 ShardMessage::Recover {
                     snapshot: plan.snapshot.map(Box::new),
-                    records: plan.recovered.records,
+                    held,
+                    tail_skipped: (logged - records.len()) as u64,
+                    records,
+                    rows,
                     durable_seq: plan.durable_seq,
                     torn: plan.recovered.torn_truncations,
-                    batch_size: self.engine.config.batch_size,
                 },
             );
             self.engine.send(shard, ShardMessage::EndRecovery);

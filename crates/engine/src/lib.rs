@@ -26,15 +26,16 @@
 //!   (depth chosen from the shard count) and assigns contiguous Z-order
 //!   runs of leaves to shards, so each shard owns a compact region.
 //! * Every ingest entry point fills pooled [`stem_core::ColumnarBatch`]
-//!   chunks through one path, and WAL tail recovery and snapshot
-//!   restore pack their instances into chunks the same way: an
-//!   instance inside the engine is always one row of a shared chunk.
+//!   chunks through one path; recovery packs its log tail and snapshot
+//!   rows into chunks the same way, hit lists included.
 //! * The router forwards each instance to every shard that is home to a
 //!   subscription whose scope covers it — plus the shard owning its
-//!   location when a write-ahead log needs a durable copy — in columnar
-//!   batches over bounded per-shard steal-queue slots. A barrier (`sync`
-//!   / `finish`) skips shards whose published processed counter already
-//!   matches what was sent: clean shards cost zero cross-thread traffic.
+//!   location when a write-ahead log needs a durable copy — with the
+//!   covering `(plan, scope slot)` pairs on that shard. That hit list is
+//!   the only spatial decision: a worker checks just the listed plans
+//!   and gates each subscriber on its own slot. Batches travel over
+//!   bounded per-shard steal-queue slots; a barrier (`sync` / `finish`)
+//!   skips shards whose processed counter already matches what was sent.
 //! * A parked shard worker wakes at three points only: its queue fills,
 //!   [`Engine::flush`] finds it behind what was sent, or shutdown
 //!   closes the queue. Live drivers call `flush` after each chunk, so a

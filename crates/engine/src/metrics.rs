@@ -21,10 +21,12 @@ pub struct ShardMetrics {
     /// Evaluation errors (mis-configured subscriptions referencing
     /// unbound entities); the offending instance is skipped.
     pub eval_errors: u64,
-    /// Instance offers skipped because a resident subscription's
-    /// routing scope excluded the location before any evaluation —
-    /// the worker-side half of scope pruning (the router-side half is
-    /// [`RouterMetrics::precision_skipped`]).
+    /// Subscribers skipped before evaluation because a row's hit list
+    /// named their plan, which passed its event, layer and region
+    /// filters, but not their scope slot: the worker-side half of scope
+    /// pruning (the router-side half is
+    /// [`RouterMetrics::precision_skipped`]). Which side of the BVH
+    /// threshold routed the row does not change the count.
     pub scope_skipped: u64,
     /// Notifications delivered to sinks.
     pub notifications: u64,

@@ -30,7 +30,7 @@
 //!   the scope gates which instances *feed the detector*, so detector
 //!   state diverges across scopes; the scope is part of their key.
 //!   Plain conditions are pure, so their scope stays out of the key
-//!   and is re-checked per subscriber at fan-out instead.
+//!   and is re-applied per subscriber at fan-out as a scope slot.
 //!
 //! Sharing is correctness-preserving: a plan's home shard is computed
 //! from the subscription alone before the key is looked up, evaluation

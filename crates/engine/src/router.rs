@@ -1,12 +1,13 @@
 //! The shard router: spatial partitioning, interest tracking, batching.
 
-use crate::batch::{Batch, BatchItem, ItemTrace};
+use crate::batch::{Batch, BatchItem, Hit, ItemTrace, RoutedChunk, RowRef};
 use crate::config::ShardId;
 use crate::metrics::RouterMetrics;
 use crate::plan::PlanId;
 use crate::shard_map::{Grid, ShardMap};
+use std::ops::Range;
 use std::sync::Arc;
-use stem_core::{ColumnarBatch, Layer, TraceClock};
+use stem_core::{EventInstance, Layer, TraceClock};
 use stem_spatial::{Bvh, Field, Point, Rect, SpatialExtent};
 use stem_temporal::TimePoint;
 
@@ -22,15 +23,12 @@ fn layer_mask(layers: Option<&[Layer]>) -> u8 {
     })
 }
 
-/// One registered detector plan as the router sees it: the union of
-/// its subscribers' routing scopes (exact extents for precision
-/// checks, plus their cheaper union bounding box) and the plan's layer
-/// filter as a bitmask — everything the worker's own candidate filter
-/// would reject is already rejected here, at enqueue time. A plan with
-/// many subscribers costs one interest entry, so mega-tenancy
-/// registration leaves the routing tables plan-sized; the worker
-/// re-applies each subscriber's own scope at fan-out, keeping the
-/// union's pruning exact.
+/// One registered detector plan as the router sees it: its subscribers'
+/// distinct routing scopes (exact extents for the precision pass, plus
+/// their cheaper union bounding box) and the plan's layer filter as a
+/// bitmask. A plan with many subscribers costs one interest entry. A
+/// scope's position in `scopes` is its *slot*: each subscriber carries
+/// its own scope's slot, and the precision pass reports hits by slot.
 #[derive(Debug, Clone)]
 struct Interest {
     id: PlanId,
@@ -40,6 +38,34 @@ struct Interest {
     /// dedupes identical scopes before they reach the router).
     scopes: Vec<SpatialExtent>,
     layers: u8,
+}
+
+/// Sets `home`'s bit on every interest-grid leaf `scope` touches.
+fn mark_scope(masks: &mut [u64], grid: &Grid, scope: &SpatialExtent, home: ShardId) {
+    for (leaf, cell) in grid.leaf_rects_for_rect(&scope.bounding_box()) {
+        // Exact-coverage refinement: a bounding box overstates a
+        // circular or polygonal scope by up to its whole corner area,
+        // and at leaf granularity that marks interest on cells the
+        // scope can never match. Testing the scope against each cell
+        // keeps the mask tight, so points in the uncovered residue
+        // route on the leaf lookup alone — no precision query at all.
+        if scope.intersects(&SpatialExtent::field(Field::rect(cell))) {
+            masks[leaf] |= 1 << home;
+        }
+    }
+}
+
+/// One routed `(row, shard)` copy of the chunk being routed: a
+/// [`BatchItem`] waiting for the chunk, which is shared only once every
+/// row's hits are in its hit column.
+#[derive(Debug)]
+struct Staged {
+    shard: ShardId,
+    row: u32,
+    hits: Range<u32>,
+    seq: u64,
+    prefix_high_water: Option<TimePoint>,
+    trace: Option<ItemTrace>,
 }
 
 /// Routes instances to shards and accumulates per-shard batches.
@@ -68,15 +94,16 @@ pub struct ShardRouter {
     bvh_threshold: usize,
     /// Candidate buffer reused across BVH point queries.
     scratch: Vec<u32>,
+    /// Routed copies of the chunk being routed, waiting for the chunk
+    /// to be shared (reused across chunks).
+    staged: Vec<Staged>,
     /// The interest index resolution: a fixed fine quadtree grid,
     /// independent of the (coarser) shard-territory grid so broadcast
     /// stays confined to actual region boundaries.
     interest_grid: Grid,
     /// Per interest-grid leaf: bitmask of shards homing a subscription
-    /// whose bounding box touches the leaf. Routing is then O(1) per
-    /// instance regardless of the subscription count; workers re-check
-    /// exact region coverage, so the leaf granularity only costs an
-    /// occasional extra delivery, never a missed one.
+    /// whose scope touches the leaf — the cheap prefilter in front of
+    /// the precision pass, which then decides each named shard exactly.
     leaf_masks: Vec<u64>,
     /// Per shard: the accumulating batch.
     pending: Vec<Vec<BatchItem>>,
@@ -143,6 +170,7 @@ impl ShardRouter {
             bvhs: vec![None; shards],
             bvh_threshold,
             scratch: Vec::new(),
+            staged: Vec::new(),
             interest_grid,
             leaf_masks: vec![0; leaves],
             pending: vec![Vec::new(); shards],
@@ -255,11 +283,11 @@ impl ShardRouter {
     }
 
     /// Widens an existing plan's interest with a further subscriber's
-    /// scope: the scope joins the precision list, the union bounding
-    /// box grows, and the layer mask widens. The engine only calls this
-    /// for scopes the plan has not seen yet, so a million structurally
-    /// identical subscriptions over one region cost the router exactly
-    /// one interest entry with one scope.
+    /// scope: the scope joins the precision list at the next slot, the
+    /// union bounding box grows, and the layer mask widens. The engine
+    /// only calls this for scopes the plan has not seen yet, so a million
+    /// structurally identical subscriptions over one region cost the
+    /// router exactly one interest entry with one scope.
     pub(crate) fn add_scope(&mut self, id: PlanId, scope: SpatialExtent, layers: Option<&[Layer]>) {
         let Some((home, pos)) = self.locate(id) else {
             return;
@@ -288,21 +316,7 @@ impl ShardRouter {
             .scopes
             .last()
             .expect("interest holds at least one scope");
-        for (leaf, cell) in self
-            .interest_grid
-            .leaf_rects_for_rect(&scope.bounding_box())
-        {
-            // Exact-coverage refinement: a bounding box overstates a
-            // circular or polygonal scope by up to its whole corner
-            // area, and at leaf granularity that marks interest on
-            // cells the scope can never match. Testing the scope
-            // against each cell keeps the mask tight, so points in the
-            // uncovered residue route on the leaf lookup alone —
-            // no precision query at all.
-            if scope.intersects(&SpatialExtent::field(Field::rect(cell))) {
-                self.leaf_masks[leaf] |= 1 << home;
-            }
-        }
+        mark_scope(&mut self.leaf_masks, &self.interest_grid, scope, home);
     }
 
     /// The `(home shard, list position)` of a registered plan.
@@ -349,43 +363,82 @@ impl ShardRouter {
             *mask = 0;
         }
         for (shard, list) in self.interests.iter().enumerate() {
-            for interest in list {
-                for scope in &interest.scopes {
-                    for (leaf, cell) in self
-                        .interest_grid
-                        .leaf_rects_for_rect(&scope.bounding_box())
-                    {
-                        // Same exact-coverage refinement as `mark_leaves`.
-                        if scope.intersects(&SpatialExtent::field(Field::rect(cell))) {
-                            self.leaf_masks[leaf] |= 1 << shard;
-                        }
-                    }
-                }
+            for scope in list.iter().flat_map(|i| &i.scopes) {
+                mark_scope(&mut self.leaf_masks, &self.interest_grid, scope, shard);
             }
         }
     }
 
-    /// Whether some plan homed on `shard` accepts the layer and has a
-    /// subscriber routing scope *exactly* covering the point (leaf
-    /// masks are bounding-box granular; this is the precision pass that
-    /// trims the broadcast fan-out). Served by the per-shard BVH once
+    /// The precision pass — the engine's one point-in-scope test.
+    /// Appends to `out` every `(plan, slot)` pair homed on `shard` whose
+    /// plan accepts `layer` (a [`layer_bit`]) and whose scope at `slot`
+    /// *exactly* covers `p`, sorted by `(plan, slot)`, and returns
+    /// whether it appended anything. Served by the per-shard BVH once
     /// the shard's interest count crossed the threshold, by the linear
-    /// scan below it — both answer identically.
-    fn covered_by_interest(&mut self, shard: ShardId, p: Point, layer: u8) -> bool {
-        let covers = |i: &Interest| i.scopes.iter().any(|s| s.covers(p));
+    /// scan below it; both produce the same list.
+    fn collect_hits(&mut self, shard: ShardId, p: Point, layer: u8, out: &mut Vec<Hit>) -> bool {
+        let start = out.len();
+        let mut push = |interest: &Interest| {
+            if interest.layers & layer != 0 {
+                for (slot, scope) in interest.scopes.iter().enumerate() {
+                    if scope.covers(p) {
+                        out.push(Hit {
+                            plan: interest.id,
+                            slot: slot as u32,
+                        });
+                    }
+                }
+            }
+        };
+        let list = &self.interests[shard];
         if let Some(bvh) = &self.bvhs[shard] {
             self.scratch.clear();
             self.metrics.bvh_nodes_visited += bvh.query_point(p, &mut self.scratch);
-            let list = &self.interests[shard];
-            self.scratch
-                .iter()
-                .map(|&i| &list[i as usize])
-                .any(|i| i.layers & layer != 0 && covers(i))
+            // Interests sit in plan-id order, so candidate positions in
+            // order are hits in plan order.
+            self.scratch.sort_unstable();
+            for &i in &self.scratch {
+                push(&list[i as usize]);
+            }
         } else {
-            self.interests[shard]
-                .iter()
-                .any(|i| i.layers & layer != 0 && i.bbox.contains(p) && covers(i))
+            for interest in list.iter().filter(|i| i.bbox.contains(p)) {
+                push(interest);
+            }
         }
+        out.len() > start
+    }
+
+    /// Packs instances bound for `shard` into chunks of up to
+    /// `batch_size` rows, one [`RowRef`] per instance in input order with
+    /// its hits from the precision pass: how recovery rebuilds a shard's
+    /// log tail and held rows. Packed rows carry no evaluation time (the
+    /// caller holds each reorder key) and no trace stamps.
+    pub(crate) fn pack_rows<'a>(
+        &mut self,
+        shard: ShardId,
+        batch_size: usize,
+        instances: impl IntoIterator<Item = &'a EventInstance>,
+    ) -> Vec<RowRef> {
+        let mut instances = instances.into_iter().peekable();
+        let mut packed = Vec::new();
+        while instances.peek().is_some() {
+            let mut chunk = RoutedChunk::default();
+            let mut ranges = Vec::new();
+            for (row, instance) in instances.by_ref().take(batch_size.max(1)).enumerate() {
+                chunk.rows.push(instance);
+                let (p, layer) = (chunk.rows.representative(row), chunk.rows.layer(row));
+                let start = chunk.hits.len() as u32;
+                self.collect_hits(shard, p, layer_bit(layer), &mut chunk.hits);
+                ranges.push(start..chunk.hits.len() as u32);
+            }
+            let chunk = Arc::new(chunk);
+            packed.extend(ranges.into_iter().enumerate().map(|(index, hits)| RowRef {
+                chunk: Arc::clone(&chunk),
+                index: index as u32,
+                hits,
+            }));
+        }
+        packed
     }
 
     /// A trace-clock stamp, or 0 with tracing off.
@@ -393,53 +446,96 @@ impl ShardRouter {
         self.trace_clock.as_ref().map_or(0, |c| c.now())
     }
 
-    /// Routes every row of a shared ingest chunk into the per-shard
-    /// pending batches, iterating the chunk's dense representative-point,
-    /// evaluation-time, and generation-time columns instead of walking
-    /// per-instance heap structures. Each row's stream-clock sample (the
-    /// high-water input and reorder key) is its evaluation time when the
-    /// ingest call supplied one, its generation time otherwise. Shards
-    /// receive `(chunk, row)` references; the full instance is only
-    /// re-materialized downstream for rows that reach evaluation or
-    /// durable logging.
+    /// Routes every row of an ingest chunk into the per-shard pending
+    /// batches, iterating the chunk's dense columns. Each row's
+    /// stream-clock sample (the high-water input and reorder key) is its
+    /// evaluation time when the ingest call supplied one, its generation
+    /// time otherwise.
     ///
-    /// Returns the shards whose pending batch reached the flush
-    /// threshold, deduplicated, in shard order.
-    pub fn route_batch(&mut self, batch: &Arc<ColumnarBatch>) -> Vec<ShardId> {
-        let mut full_mask: u64 = 0;
+    /// Every shard the row's leaf mask names gets the precision pass
+    /// ([`ShardRouter::collect_hits`]); a shard with no hit is dropped at
+    /// enqueue time. Each routed `(row, shard)` copy's hits go to the
+    /// chunk's hit column and are the worker's whole candidate set: the
+    /// row's only spatial decision. Without `retain_owner` an instance
+    /// nobody subscribes to routes nowhere (the stream clock and sequence
+    /// still advance); with it, the owner always receives a copy for its
+    /// write-ahead log, with an empty hit list when nothing covers it.
+    /// The chunk is shared once every row is routed, and shards receive
+    /// [`RowRef`]s into it.
+    ///
+    /// Returns the shared chunk and the shards whose pending batch
+    /// reached the flush threshold, deduplicated, in shard order.
+    pub(crate) fn route_batch(
+        &mut self,
+        mut chunk: RoutedChunk,
+    ) -> (Arc<RoutedChunk>, Vec<ShardId>) {
         // One route stamp per chunk, shared by every row: a per-row
         // clock read costs more than the routing itself, and the rows'
         // ingest stamps (taken at chunk fill, all before this call) stay
         // `<=` the shared stamp.
         let route = self.trace_stamp();
-        for row in 0..batch.len() {
-            let location = batch.representatives()[row];
-            let t = batch.eval_at(row).unwrap_or(batch.generation_times()[row]);
-            let targets = self.target_mask(location, layer_bit(batch.layer(row)));
-            let (seq, prefix_high_water, trace) = self.stamp(t, batch.ingest_stamp(row), route);
-            let mut bits = targets;
+        let mut staged = std::mem::take(&mut self.staged);
+        for row in 0..chunk.rows.len() {
+            let rows = &chunk.rows;
+            let location = rows.representatives()[row];
+            let t = rows.eval_at(row).unwrap_or(rows.generation_times()[row]);
+            let layer = layer_bit(rows.layer(row));
+            let (seq, prefix_high_water, trace) = self.stamp(t, rows.ingest_stamp(row), route);
+            let mask = self.leaf_masks[self.interest_grid.leaf_for_point(location)];
+            if mask == 0 {
+                self.metrics.owner_only += 1;
+            }
+            let owner = self
+                .retain_owner
+                .then(|| self.map.shard_for_point(location));
+            let mut bits = mask | owner.map_or(0, |o| 1 << o);
             while bits != 0 {
                 let shard = bits.trailing_zeros() as ShardId;
                 bits &= bits - 1;
-                let pending = &mut self.pending[shard];
-                pending.push(BatchItem {
-                    seq,
-                    chunk: Arc::clone(batch),
-                    row: row as u32,
-                    prefix_high_water,
-                    trace,
-                });
-                if pending.len() >= self.batch_size {
-                    full_mask |= 1 << shard;
+                let start = chunk.hits.len() as u32;
+                if mask & (1 << shard) != 0
+                    && self.collect_hits(shard, location, layer, &mut chunk.hits)
+                    || owner == Some(shard)
+                {
+                    self.metrics.fanout += 1;
+                    staged.push(Staged {
+                        shard,
+                        row: row as u32,
+                        hits: start..chunk.hits.len() as u32,
+                        seq,
+                        prefix_high_water,
+                        trace,
+                    });
+                } else {
+                    self.metrics.precision_skipped += 1;
                 }
             }
         }
+        let chunk = Arc::new(chunk);
+        let mut full_mask: u64 = 0;
+        for s in staged.drain(..) {
+            let pending = &mut self.pending[s.shard];
+            pending.push(BatchItem {
+                seq: s.seq,
+                row: RowRef {
+                    chunk: Arc::clone(&chunk),
+                    index: s.row,
+                    hits: s.hits,
+                },
+                prefix_high_water: s.prefix_high_water,
+                trace: s.trace,
+            });
+            if pending.len() >= self.batch_size {
+                full_mask |= 1 << s.shard;
+            }
+        }
+        self.staged = staged;
         let mut full = Vec::with_capacity(full_mask.count_ones() as usize);
         while full_mask != 0 {
             full.push(full_mask.trailing_zeros() as ShardId);
             full_mask &= full_mask - 1;
         }
-        full
+        (chunk, full)
     }
 
     /// Advances the stream clock past `t` and consumes one sequence
@@ -463,51 +559,6 @@ impl ShardRouter {
             .as_ref()
             .map(|_| ItemTrace { ingest, route });
         (self.take_seq(), prefix_high_water, trace)
-    }
-
-    /// The delivery bitmask for an instance at `location` on `layer`
-    /// (as a [`layer_bit`]): every interested shard that survives the
-    /// precision pass, plus — under durable logging — the territorial
-    /// owner unconditionally.
-    ///
-    /// The precision pass drops, at enqueue time, every shard whose
-    /// resident subscriptions either sit on other layers or do not
-    /// exactly cover the point. Workers re-check both anyway, so a skip
-    /// can never lose a match — it only saves the delivery. Without
-    /// `retain_owner` the owner is pruned like any other shard: an
-    /// instance nobody subscribes to routes nowhere (the stream clock
-    /// and sequence still advance, so watermark/late-drop decisions on
-    /// the rest of the stream are untouched). With it, the owner always
-    /// receives a copy so the operation reaches its shard's
-    /// write-ahead log.
-    fn target_mask(&mut self, location: Point, layer: u8) -> u64 {
-        let owner = self.map.shard_for_point(location);
-        let leaf = self.interest_grid.leaf_for_point(location);
-        let mask = self.leaf_masks[leaf];
-        if mask == 0 {
-            self.metrics.owner_only += 1;
-        }
-        let mut targets = mask;
-        let mut bits = if self.retain_owner {
-            // The owner receives regardless; don't bill a precision
-            // skip for a shard that stays in the mask.
-            mask & !(1 << owner)
-        } else {
-            mask
-        };
-        while bits != 0 {
-            let shard = bits.trailing_zeros() as ShardId;
-            bits &= bits - 1;
-            if !self.covered_by_interest(shard, location, layer) {
-                self.metrics.precision_skipped += 1;
-                targets &= !(1 << shard);
-            }
-        }
-        if self.retain_owner {
-            targets |= 1 << owner;
-        }
-        self.metrics.fanout += u64::from(targets.count_ones());
-        targets
     }
 
     /// Takes the pending batch for `shard`, stamped with the current
@@ -592,9 +643,27 @@ mod tests {
         /// whose batch just reached the flush threshold — with the test
         /// routers' batch size of 1, exactly its targets.
         fn route(&mut self, instance: EventInstance) -> Vec<ShardId> {
-            let mut chunk = ColumnarBatch::with_capacity(1);
-            chunk.push(&instance);
-            self.route_batch(&Arc::new(chunk))
+            let mut chunk = RoutedChunk::default();
+            chunk.rows.push(&instance);
+            self.route_batch(chunk).1
+        }
+
+        /// Routes one instance and returns each target shard with the
+        /// hit list its copy carries.
+        fn route_hits(&mut self, instance: EventInstance) -> Vec<(ShardId, Vec<Hit>)> {
+            let targets = self.route(instance);
+            let hits = |batch: Batch| batch.instances[0].row.hits().to_vec();
+            targets
+                .into_iter()
+                .map(|s| (s, hits(self.take_batch(s))))
+                .collect()
+        }
+    }
+
+    fn hit(plan: usize, slot: usize) -> Hit {
+        Hit {
+            plan: PlanId(plan as u64),
+            slot: slot as u32,
         }
     }
 
@@ -644,10 +713,11 @@ mod tests {
     #[test]
     fn eval_at_drives_the_stream_clock() {
         let mut r = router(1, usize::MAX);
-        let mut chunk = ColumnarBatch::new();
-        chunk.push_at(&inst(10, 5.0, 5.0), Some(TimePoint::new(100)), 0);
-        chunk.push(&inst(20, 5.0, 5.0));
-        r.route_batch(&Arc::new(chunk));
+        let mut chunk = RoutedChunk::default();
+        let rows = &mut chunk.rows;
+        rows.push_at(&inst(10, 5.0, 5.0), Some(TimePoint::new(100)), 0);
+        rows.push(&inst(20, 5.0, 5.0));
+        let _ = r.route_batch(chunk);
         assert_eq!(r.high_water(), Some(TimePoint::new(100)));
         let batch = r.take_batch(0);
         assert_eq!(
@@ -732,49 +802,85 @@ mod tests {
         }
         // The gap between the two scopes stays pruned: the union
         // *bounding box* covers (22.5, 22.5) but no exact scope does.
-        assert!(!shared.covered_by_interest(
-            shared.home_of(PlanId(0)).unwrap(),
-            Point::new(22.5, 22.5),
-            layer_bit(Layer::Sensor)
-        ));
+        let home = shared.home_of(PlanId(0)).unwrap();
+        let sensor = layer_bit(Layer::Sensor);
+        let mut hits = Vec::new();
+        assert!(!shared.collect_hits(home, Point::new(22.5, 22.5), sensor, &mut hits));
+        // A point in the second scope names that scope's slot.
+        assert!(shared.collect_hits(home, Point::new(30.0, 30.0), sensor, &mut hits));
+        assert_eq!(hits, [hit(0, 1)]);
         assert_eq!(shared.unsubscribe(PlanId(0)), Some(0));
         assert!(shared.home_of(PlanId(0)).is_none());
     }
 
     proptest! {
-        /// BVH-backed routing is indistinguishable from the linear
-        /// exact-scope scan: the same targets for every instance, the
-        /// same fanout and `precision_skipped`, across random scope sets
-        /// and streams — only the traversal-cost counter differs. The
-        /// linear and BVH sides are each forced through the threshold;
-        /// the default router picks its side from the count it sees.
+        /// The precision pass lists exactly the covering `(plan, slot)`
+        /// pairs. For every routed `(row, shard)` copy, the linear scan,
+        /// the BVH and the default router (which picks its side from the
+        /// count it sees) carry the sorted hit list a brute-force scan
+        /// over every scope predicts, and agree on targets, fanout and
+        /// `precision_skipped`; only the traversal-cost counter differs.
+        /// Clustered circles all overlap and crowd onto one home, so a
+        /// point hits several plans there; extra scopes joined with
+        /// `add_scope` give plans several slots.
         #[test]
         fn bvh_routing_matches_linear_scan(
             regions in proptest::collection::vec(
                 (0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0), 1..24),
+            extra in proptest::collection::vec(
+                (0usize..24, 0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0), 0..12),
             points in proptest::collection::vec(
                 (0.0f64..100.0, 0.0f64..100.0), 1..120),
             shards in 1usize..5,
             retain_owner in proptest::bool::ANY,
+            clustered in proptest::bool::ANY,
         ) {
+            let circle = |x: f64, y: f64, r: f64| {
+                let (x, y) = if clustered { (40.0 + x / 10.0, 40.0 + y / 10.0) } else { (x, y) };
+                SpatialExtent::field(Field::circle(Circle::new(Point::new(x, y), r)))
+            };
+            let mut scopes: Vec<Vec<SpatialExtent>> =
+                regions.iter().map(|&(x, y, r)| vec![circle(x, y, r)]).collect();
+            for &(plan, x, y, r) in &extra {
+                let n = scopes.len();
+                scopes[plan % n].push(circle(x, y, r));
+            }
             let mut linear =
                 ShardRouter::with_bvh_threshold(world(shards), 1, usize::MAX, retain_owner);
             let mut bvh = ShardRouter::with_bvh_threshold(world(shards), 1, 0, retain_owner);
             let mut default = ShardRouter::new(world(shards), 1, retain_owner);
-            for (i, &(x, y, r)) in regions.iter().enumerate() {
-                let scope = SpatialExtent::field(Field::circle(Circle::new(Point::new(x, y), r)));
-                for router in [&mut linear, &mut bvh, &mut default] {
-                    router.subscribe(PlanId(i as u64), scope.clone(), None, None);
+            for router in [&mut linear, &mut bvh, &mut default] {
+                for (i, list) in scopes.iter().enumerate() {
+                    router.subscribe(PlanId(i as u64), list[0].clone(), None, None);
+                }
+                for (i, list) in scopes.iter().enumerate() {
+                    for scope in &list[1..] {
+                        router.add_scope(PlanId(i as u64), scope.clone(), None);
+                    }
                 }
             }
             prop_assert!(
                 bvh.interests.iter().zip(&bvh.bvhs).all(|(i, b)| i.is_empty() || b.is_some()),
                 "the BVH side must index every home shard"
             );
+            let homes: Vec<ShardId> = (0..scopes.len())
+                .map(|i| linear.home_of(PlanId(i as u64)).expect("registered"))
+                .collect();
             for (i, &(x, y)) in points.iter().enumerate() {
-                let a = linear.route(inst(i as u64, x, y));
-                prop_assert_eq!(&a, &bvh.route(inst(i as u64, x, y)), "targets diverged");
-                prop_assert_eq!(&a, &default.route(inst(i as u64, x, y)), "targets diverged");
+                let p = Point::new(x, y);
+                let owner = linear.map.shard_for_point(p);
+                let mut expected: Vec<(ShardId, Vec<Hit>)> =
+                    (0..shards).map(|shard| (shard, Vec::new())).collect();
+                for (plan, list) in scopes.iter().enumerate() {
+                    for (slot, _) in list.iter().enumerate().filter(|(_, s)| s.covers(p)) {
+                        expected[homes[plan]].1.push(hit(plan, slot));
+                    }
+                }
+                expected.retain(|(shard, hits)| !hits.is_empty() || (retain_owner && *shard == owner));
+                let a = linear.route_hits(inst(i as u64, x, y));
+                prop_assert_eq!(&a, &expected, "linear hits diverged from brute force");
+                prop_assert_eq!(&a, &bvh.route_hits(inst(i as u64, x, y)), "BVH hits diverged");
+                prop_assert_eq!(&a, &default.route_hits(inst(i as u64, x, y)), "hits diverged");
             }
             let (lm, bm, dm) = (linear.take_metrics(), bvh.take_metrics(), default.take_metrics());
             for m in [&bm, &dm] {

@@ -229,7 +229,7 @@ pub struct Subscription {
     pub region: SpatialExtent,
     /// Routing scope: the region of the plane where instances this
     /// subscription must observe can occur, used by the router's
-    /// interest index, home-shard assignment, and the per-shard scan
+    /// interest index, home-shard assignment, and precision pass
     /// (instances outside it are pruned *before* evaluation). `None`
     /// defaults to `region` — the right answer for plain regional
     /// subscriptions.

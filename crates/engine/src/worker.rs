@@ -1,6 +1,6 @@
 //! Shard workers: reorder, evaluate, notify.
 
-use crate::batch::Batch;
+use crate::batch::{Batch, RowRef};
 use crate::config::ShardId;
 use crate::metrics::ShardMetrics;
 use crate::plan::PlanId;
@@ -9,20 +9,19 @@ use crate::subscription::{
     SustainedValue,
 };
 use crate::trace::WorkerTrace;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 use stem_cep::{CompositeDetector, ReorderBuffer, SustainedDetector, SustainedEvent};
 use stem_core::codec::{self, CodecError, CodecResult, StateCodec};
 use stem_core::timing::{Clock, SpanToken};
 use stem_core::{
-    Bindings, CcuId, ColumnarBatch, ConditionExpr, ConditionObserver, Constituent, DropVerdict,
-    EntityName, EventDefinition, EventId, EventInstance, Layer, ObserverId, Provenance,
-    StageStamps, TraceId,
+    Bindings, CcuId, ConditionExpr, ConditionObserver, Constituent, DropVerdict, EntityName,
+    EventDefinition, EventId, EventInstance, Layer, ObserverId, Provenance, StageStamps, TraceId,
 };
 use stem_obs::{ObsRegistry, Recorder, Stage, TraceConstituent, TraceRecord};
 use stem_snap::ShardSnapshot;
-use stem_spatial::{Bvh, Rect, SpatialExtent};
+use stem_spatial::SpatialExtent;
 use stem_temporal::{Duration, TimePoint};
 use stem_wal::{ShardWal, WalRecord};
 
@@ -67,9 +66,9 @@ const SNAPSHOT_RETAIN: usize = 2;
 pub(crate) enum ShardMessage {
     /// Instances plus the router's watermark heartbeat.
     Batch(Batch),
-    /// A subscription homed on this shard (boxed: it is much larger
-    /// than the other variants).
-    Subscribe(Box<SubscriptionState>),
+    /// A subscription homed on this shard, compiled as a plan with one
+    /// subscriber (boxed: it is much larger than the other variants).
+    Subscribe(Box<PlanState>),
     /// Retire a subscription.
     Unsubscribe(SubscriptionId),
     /// Silence heartbeat for one sustained subscription: feed its
@@ -92,21 +91,27 @@ pub(crate) enum ShardMessage {
     /// reorder/detector state (re-delivering the tail's notifications to
     /// the freshly registered sinks; notifications the snapshot already
     /// covers are not re-delivered — they are compressed into state).
+    /// The engine packs the instances into routed rows with hit lists.
     Recover {
         /// The shard's newest valid snapshot (`None` = full-log replay).
         snapshot: Option<Box<ShardSnapshot>>,
-        /// The shard's recovered tail records, in append order (the full
-        /// log without a snapshot).
+        /// The snapshot's held reorder-buffer instances as routed rows,
+        /// in buffer order (see [`held_instances`]).
+        held: Vec<RowRef>,
+        /// The shard's log tail past the snapshot's cut, in append order
+        /// (the full log without a snapshot).
         records: Vec<WalRecord>,
+        /// One routed row per instance record in `records`, in order.
+        rows: Vec<RowRef>,
+        /// Log records the snapshot already covered (dropped from
+        /// `records`).
+        tail_skipped: u64,
         /// The largest ingest sequence the shard is durable through
         /// (snapshot coverage included): later re-fed operations at or
         /// below it are duplicates and are skipped.
         durable_seq: Option<u64>,
         /// Torn-tail truncations the recovery reader repaired.
         torn: u64,
-        /// Rows per chunk the recovered and restored instances are
-        /// packed into (the engine's `batch_size`).
-        batch_size: usize,
     },
     /// Cut a checkpoint snapshot: the barrier guarantees everything
     /// routed before this message has been evaluated and journaled, so
@@ -170,23 +175,35 @@ enum EvalKind {
     Sustained(SustainedState),
 }
 
-/// A [`Subscription`] compiled for residence on one shard, tagged with
-/// the plan it instantiates. The worker splits it on arrival: the first
-/// subscriber of a plan donates the template (filters + detector), and
-/// every subscriber contributes its identity row (id, scope, sink,
-/// delivered count).
-pub(crate) struct SubscriptionState {
+/// One subscriber of a shared plan: everything that stays per-identity
+/// after the template is deduplicated — who to tell, where their scope
+/// gate sits, and how much they have already been told.
+struct Subscriber {
     id: SubscriptionId,
-    /// The plan this subscription instantiates (assigned by the
-    /// engine's canonicalizer; a non-shareable subscription gets a plan
-    /// of its own).
-    plan: PlanId,
+    /// The slot of the subscriber's routing scope in the plan's router
+    /// interest: a row reaches the subscriber only when its hits name
+    /// this slot (stateful plans key on the scope, so their subscribers
+    /// share one slot and the detector's input is gated identically).
+    slot: u32,
+    /// The first ingest sequence the subscriber observes.
+    since: u64,
+    sink: Box<dyn EventSink>,
+    /// Notifications delivered to this subscriber's sink so far
+    /// (persisted per subscriber in checkpoint snapshots as the count a
+    /// resumed run will not re-deliver).
+    delivered: u64,
+}
+
+/// One shared detector plan resident on a shard: the template filters
+/// and detector state, evaluated once per instance, plus the subscriber
+/// list its output fans out to. A subscription travels to its home
+/// shard as a plan with one subscriber, which joins the resident plan
+/// of the same id if there is one.
+pub(crate) struct PlanState {
+    /// Assigned by the engine's canonicalizer (a non-shareable
+    /// subscription gets a plan of its own).
+    id: PlanId,
     region: SpatialExtent,
-    bbox: Rect,
-    /// The explicit routing scope with its bounding box, when one was
-    /// set: instances outside it are pruned before any other filter
-    /// (out-of-scope work the router's leaf granularity let through).
-    scope: Option<(Rect, SpatialExtent)>,
     event_filter: Option<EventId>,
     layers: Option<Vec<Layer>>,
     /// The per-instance condition (for `Plain` / `Sustained`; a pattern
@@ -197,18 +214,20 @@ pub(crate) struct SubscriptionState {
     /// instance).
     entities: Vec<EntityName>,
     kind: EvalKind,
-    sink: Box<dyn EventSink>,
-    /// Notifications delivered to this subscription's sink so far.
-    /// Persisted in checkpoint snapshots as the "already delivered"
-    /// count a resumed run will not re-deliver.
-    delivered: u64,
+    subscribers: Vec<Subscriber>,
 }
 
-impl SubscriptionState {
-    /// Compiles `sub` for residence on its home shard.
-    pub(crate) fn compile(id: SubscriptionId, plan: PlanId, sub: Subscription) -> Self {
-        let bbox = sub.region.bounding_box();
-        let scope = sub.scope.clone().map(|scope| (scope.bounding_box(), scope));
+impl PlanState {
+    /// Compiles `sub` for residence on its home shard: it rides `plan`,
+    /// its routing scope sits at `slot` of the plan's interest, and it
+    /// observes instances with ingest sequence `since` and later.
+    pub(crate) fn compile(
+        id: SubscriptionId,
+        plan: PlanId,
+        slot: u32,
+        since: u64,
+        sub: Subscription,
+    ) -> Self {
         let (kind, condition) = if let Some(spec) = sub.pattern {
             // The definition override carries the registrant's estimation
             // policies and projections; without one, the composite
@@ -227,7 +246,7 @@ impl SubscriptionState {
             let observer = sub.observer.unwrap_or_else(|| {
                 ConditionObserver::new(
                     ObserverId::Ccu(CcuId::new(u32::try_from(id.raw()).unwrap_or(u32::MAX))),
-                    bbox.center(),
+                    sub.region.bounding_box().center(),
                     1.0,
                 )
             });
@@ -253,72 +272,20 @@ impl SubscriptionState {
             .as_ref()
             .map(ConditionExpr::entity_names)
             .unwrap_or_default();
-        SubscriptionState {
-            id,
-            plan,
+        PlanState {
+            id: plan,
             region: sub.region,
-            bbox,
-            scope,
             event_filter: sub.event_filter,
             layers: sub.layers,
             condition,
             entities,
             kind,
-            sink: sub.sink,
-            delivered: 0,
-        }
-    }
-}
-
-/// One subscriber of a shared plan: everything that stays per-identity
-/// after the template is deduplicated — who to tell, where their scope
-/// gate sits, and how much they have already been told.
-struct Subscriber {
-    id: SubscriptionId,
-    /// The subscriber's routing scope (re-checked at fan-out so shared
-    /// evaluation prunes exactly what per-subscription evaluation did;
-    /// stateful plans carry the scope in their key, so their
-    /// subscribers' scopes agree and the detector's input is gated
-    /// identically).
-    scope: Option<(Rect, SpatialExtent)>,
-    sink: Box<dyn EventSink>,
-    /// Notifications delivered to this subscriber's sink so far
-    /// (persisted per subscriber in checkpoint snapshots).
-    delivered: u64,
-}
-
-/// One shared detector plan resident on a shard: the template filters
-/// and detector state, evaluated once per instance, plus the subscriber
-/// list its output fans out to.
-struct PlanState {
-    id: PlanId,
-    region: SpatialExtent,
-    bbox: Rect,
-    event_filter: Option<EventId>,
-    layers: Option<Vec<Layer>>,
-    condition: Option<ConditionExpr>,
-    entities: Vec<EntityName>,
-    kind: EvalKind,
-    subscribers: Vec<Subscriber>,
-}
-
-impl PlanState {
-    /// Creates a plan from its first subscriber's compiled state.
-    fn new(state: SubscriptionState) -> Self {
-        PlanState {
-            id: state.plan,
-            region: state.region,
-            bbox: state.bbox,
-            event_filter: state.event_filter,
-            layers: state.layers,
-            condition: state.condition,
-            entities: state.entities,
-            kind: state.kind,
             subscribers: vec![Subscriber {
-                id: state.id,
-                scope: state.scope,
-                sink: state.sink,
-                delivered: state.delivered,
+                id,
+                slot,
+                since,
+                sink: sub.sink,
+                delivered: 0,
             }],
         }
     }
@@ -384,14 +351,11 @@ struct ItemMeta {
 /// time so the evaluation stream replays in station-clock order.
 enum StreamItem {
     /// An instance to evaluate at `at` (ingest-provided, defaulting to
-    /// the generation time): row `row` of a shared ingest chunk. The
-    /// filter pass reads the chunk's columns, and a standalone instance
-    /// is only materialized for rows that actually match a
-    /// subscription.
+    /// the generation time): a routed row with its hits for this shard,
+    /// only materialized if it matches a subscription.
     Instance {
         at: TimePoint,
-        chunk: Arc<ColumnarBatch>,
-        row: u32,
+        row: RowRef,
         meta: ItemMeta,
     },
     /// A queued silence probe: probes travel through the same reorder
@@ -421,18 +385,13 @@ const ITEM_TAG_PROBE: u8 = 1;
 /// clock.
 fn encode_stream_item(item: &StreamItem, buf: &mut Vec<u8>) {
     match item {
-        StreamItem::Instance {
-            at,
-            chunk,
-            row,
-            meta,
-        } => {
+        StreamItem::Instance { at, row, meta } => {
             codec::put_u8(buf, ITEM_TAG_INSTANCE);
             codec::encode_time_point(*at, buf);
             codec::put_u64(buf, meta.seq);
             // Snapshots hold standalone instances (rows materialize
             // bit-identically), keeping the format stable.
-            codec::encode_instance(&chunk.materialize(*row as usize), buf);
+            codec::encode_instance(&row.chunk.rows.materialize(row.index as usize), buf);
         }
         StreamItem::Probe { id, at, seq } => {
             codec::put_u8(buf, ITEM_TAG_PROBE);
@@ -444,7 +403,7 @@ fn encode_stream_item(item: &StreamItem, buf: &mut Vec<u8>) {
 }
 
 /// A reorder-buffer payload as a checkpoint snapshot stores it: a held
-/// instance is standalone until restore packs it into a chunk.
+/// instance is standalone until recovery packs it into a routed row.
 enum HeldItem {
     /// An instance held at `at`, with its global ingest sequence.
     Instance(TimePoint, u64, EventInstance),
@@ -474,28 +433,19 @@ fn decode_stream_item(bytes: &mut &[u8]) -> CodecResult<HeldItem> {
     }
 }
 
-/// Packs instances into shared chunks of up to `batch_size` rows and
-/// returns one `(chunk, row)` handle per instance, in input order: how
-/// recovered log records and restored snapshot items rejoin the one
-/// columnar data path. Packed rows carry no evaluation time (the
-/// caller already holds each reorder key) and no trace stamps (a
-/// recovered run's fresh clock restarts near zero).
-fn pack_rows<'a>(
-    batch_size: usize,
-    instances: impl IntoIterator<Item = &'a EventInstance>,
-) -> Vec<(Arc<ColumnarBatch>, u32)> {
-    let batch_size = batch_size.max(1);
-    let mut instances = instances.into_iter().peekable();
-    let mut rows = Vec::new();
-    while instances.peek().is_some() {
-        let mut chunk = ColumnarBatch::with_capacity(instances.size_hint().0.clamp(1, batch_size));
-        for instance in instances.by_ref().take(batch_size) {
-            chunk.push(instance);
+/// The instances a checkpoint snapshot's reorder buffer holds, in
+/// buffer order: what recovery packs into routed rows before the worker
+/// restores the buffer around them. Stops at the first item that does
+/// not decode; [`ShardWorker::restore_state`] then reports the error.
+pub(crate) fn held_instances(state: &[u8]) -> Vec<EventInstance> {
+    let mut held = Vec::new();
+    let _ = ReorderBuffer::<()>::default().load_state(&mut &state[..], |bytes| {
+        if let HeldItem::Instance(_, _, instance) = decode_stream_item(bytes)? {
+            held.push(instance);
         }
-        let chunk = Arc::new(chunk);
-        rows.extend((0..chunk.len() as u32).map(|row| (Arc::clone(&chunk), row)));
-    }
-    rows
+        Ok(())
+    });
+    held
 }
 
 /// Builds one notification's provenance and pushes its `Notify` ring
@@ -568,12 +518,11 @@ pub(crate) struct ShardWorker {
     /// Probes pushed through the reorder buffer (excluded from the
     /// instance-release counter).
     probes: u64,
-    /// The resident shared plans, in creation order. Every subscription
-    /// lives inside exactly one plan's subscriber list.
+    /// The resident shared plans, in creation order — which is
+    /// increasing [`PlanId`] order, so a binary search finds a plan.
+    /// Every subscription lives inside exactly one plan's subscriber
+    /// list.
     plans: Vec<PlanState>,
-    /// Plan id → index into `plans` (registration-path lookup; dispatch
-    /// never touches it).
-    plan_index: BTreeMap<u64, usize>,
     /// The shard's write-ahead log (None without durability).
     wal: Option<ShardWal>,
     /// Snapshot directory, shared with the WAL (None without
@@ -604,28 +553,6 @@ pub(crate) struct ShardWorker {
     /// exactly what per-subscription evaluation produced (reused across
     /// dispatches).
     match_scratch: Vec<(u64, u32, u32)>,
-    /// Dense bounding-box column parallel to `plans`: the filter pass
-    /// probes this flat array instead of chasing each plan record for
-    /// its bbox.
-    plan_bboxes: Vec<Rect>,
-    /// Filter-pass candidate index: plan indices bucketed by event
-    /// filter, so dispatch walks only plans whose filter can match the
-    /// instance's event.
-    by_event: BTreeMap<EventId, Vec<usize>>,
-    /// Plans with no event filter (always candidates).
-    wildcard: Vec<usize>,
-    /// The BVH over `plan_bboxes` (item index = plan index), built once
-    /// the resident count crosses
-    /// [`ShardWorker::DISPATCH_BVH_THRESHOLD`]: dispatch then probes
-    /// the tree with the instance's point instead of walking every
-    /// event-matching candidate — on dense shards almost all residents
-    /// are spatially disjoint from any one instance, and the linear
-    /// scan was the dominant per-delivery cost. `None` = linear merge
-    /// of the event buckets (small resident sets; also what a BVH
-    /// degenerates to).
-    sub_bvh: Option<Bvh>,
-    /// Candidate buffer reused across BVH dispatch queries.
-    cand_scratch: Vec<u32>,
 }
 
 impl ShardWorker {
@@ -644,7 +571,6 @@ impl ShardWorker {
             reorder: ReorderBuffer::new(slack),
             probes: 0,
             plans: Vec::new(),
-            plan_index: BTreeMap::new(),
             wal,
             snap_dir,
             checkpoint_every: checkpoint_every.max(1),
@@ -658,42 +584,12 @@ impl ShardWorker {
             obs,
             trace,
             match_scratch: Vec::new(),
-            plan_bboxes: Vec::new(),
-            by_event: BTreeMap::new(),
-            wildcard: Vec::new(),
-            sub_bvh: None,
-            cand_scratch: Vec::new(),
         }
     }
 
-    /// Resident-plan count at which dispatch switches from the linear
-    /// candidate merge to the point-query BVH over region bounding
-    /// boxes. Below it a cache-resident linear scan wins.
-    const DISPATCH_BVH_THRESHOLD: usize = 16;
-
-    /// Rebuilds the filter-pass candidate index (bbox column + event
-    /// buckets + the dispatch BVH on dense shards) and the plan-id
-    /// lookup. Runs when a plan is created or retired — registration is
-    /// cold, dispatch is hot, and adding a subscriber to an existing
-    /// plan changes none of it.
-    fn rebuild_filter_index(&mut self) {
-        self.plan_bboxes.clear();
-        self.plan_bboxes.extend(self.plans.iter().map(|p| p.bbox));
-        self.by_event.clear();
-        self.wildcard.clear();
-        self.plan_index.clear();
-        for (idx, plan) in self.plans.iter().enumerate() {
-            self.plan_index.insert(plan.id.raw(), idx);
-            match &plan.event_filter {
-                Some(event) => self.by_event.entry(event.clone()).or_default().push(idx),
-                None => self.wildcard.push(idx),
-            }
-        }
-        self.sub_bvh = if self.plans.len() >= Self::DISPATCH_BVH_THRESHOLD {
-            Some(Bvh::build(&self.plan_bboxes))
-        } else {
-            None
-        };
+    /// The index of the resident plan `id` in `plans`.
+    fn plan_position(&self, id: PlanId) -> Option<usize> {
+        self.plans.binary_search_by_key(&id, |p| p.id).ok()
     }
 
     /// Total resident subscribers across every plan.
@@ -775,38 +671,28 @@ impl ShardWorker {
         }
         match message {
             ShardMessage::Batch(batch) => self.process_batch(batch),
-            ShardMessage::Subscribe(state) => {
+            ShardMessage::Subscribe(mut state) => {
                 // The first subscriber of a plan donates the template;
-                // later subscribers join its fan-out list (and change
-                // nothing the dispatch index reads).
-                match self.plan_index.get(&state.plan.raw()).copied() {
-                    Some(idx) => self.plans[idx].subscribers.push(Subscriber {
-                        id: state.id,
-                        scope: state.scope,
-                        sink: state.sink,
-                        delivered: state.delivered,
-                    }),
+                // later subscribers join its fan-out list. Plans arrive
+                // in increasing id order, so a new one goes last.
+                match self.plan_position(state.id) {
+                    Some(idx) => self.plans[idx].subscribers.append(&mut state.subscribers),
                     None => {
-                        self.plans.push(PlanState::new(*state));
-                        self.rebuild_filter_index();
+                        debug_assert!(self.plans.last().is_none_or(|p| p.id < state.id));
+                        self.plans.push(*state);
                     }
                 }
             }
             ShardMessage::Unsubscribe(id) => {
-                let mut retired_plan = false;
                 for i in 0..self.plans.len() {
                     let plan = &mut self.plans[i];
                     if let Some(pos) = plan.subscribers.iter().position(|s| s.id == id) {
                         plan.subscribers.remove(pos);
                         if plan.subscribers.is_empty() {
                             self.plans.remove(i);
-                            retired_plan = true;
                         }
                         break;
                     }
-                }
-                if retired_plan {
-                    self.rebuild_filter_index();
                 }
             }
             ShardMessage::SilenceProbe {
@@ -817,11 +703,16 @@ impl ShardWorker {
             } => self.queue_silence_probe(id, at, seq, prefix_high_water),
             ShardMessage::Recover {
                 snapshot,
+                held,
                 records,
+                rows,
+                tail_skipped,
                 durable_seq,
                 torn,
-                batch_size,
-            } => self.recover(snapshot, records, durable_seq, torn, batch_size),
+            } => {
+                self.metrics.snap.tail_skipped += tail_skipped;
+                self.recover(snapshot, held, records, rows, durable_seq, torn);
+            }
             ShardMessage::Checkpoint {
                 epoch,
                 next_seq,
@@ -942,12 +833,12 @@ impl ShardWorker {
                 // The log holds standalone instances: the row
                 // materializes one for its record and itself continues
                 // to evaluation.
-                let row = item.row as usize;
+                let (rows, at) = (&item.row.chunk.rows, item.row.index as usize);
                 self.wal_append(&WalRecord::Instance {
                     seq: item.seq,
-                    eval_at: item.chunk.eval_at(row),
+                    eval_at: rows.eval_at(at),
                     prefix_high_water: item.prefix_high_water,
-                    instance: item.chunk.materialize(row),
+                    instance: rows.materialize(at),
                 });
             }
             fresh.push((item, meta));
@@ -973,13 +864,9 @@ impl ShardWorker {
                 self.obs_acc(Stage::ReorderRelease, token);
                 self.dispatch_all(released);
             }
-            let row = item.row as usize;
-            let key = item
-                .chunk
-                .eval_at(row)
-                .unwrap_or_else(|| item.chunk.generation_time(row));
+            let key = item.row.key();
             let token = self.obs_start();
-            let released = self.push_instance(key, item.chunk, item.row, meta);
+            let released = self.push_instance(key, item.row, meta);
             self.obs_acc(Stage::ReorderRelease, token);
             self.dispatch_all(released);
         }
@@ -998,9 +885,9 @@ impl ShardWorker {
     /// state and re-delivering the tail's notifications to the (freshly
     /// registered) sinks. Without a snapshot the tail is the whole log
     /// — the full-replay fallback, bit-identical. Nothing is
-    /// re-appended — the records are already on disk. Recovered and
-    /// restored instances are packed into chunks of up to `batch_size`
-    /// rows and travel the same data path as live ingest.
+    /// re-appended — the records are already on disk. Restored (`held`)
+    /// and recovered (`rows`) instances arrive packed into routed rows
+    /// and travel the same data path as live ingest.
     ///
     /// # Panics
     ///
@@ -1011,47 +898,29 @@ impl ShardWorker {
     fn recover(
         &mut self,
         snapshot: Option<Box<ShardSnapshot>>,
+        held: Vec<RowRef>,
         records: Vec<WalRecord>,
+        rows: Vec<RowRef>,
         durable_seq: Option<u64>,
         torn: u64,
-        batch_size: usize,
     ) {
         self.reorder.begin_recovery();
         self.durable_seq = durable_seq;
         self.metrics.wal.torn_truncations += torn;
-        let mut snap_next = 0;
         if let Some(snap) = snapshot {
-            self.restore_state(&snap.state, batch_size)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "shard {}: snapshot epoch {} does not match the re-registered \
+            self.restore_state(&snap.state, held).unwrap_or_else(|e| {
+                panic!(
+                    "shard {}: snapshot epoch {} does not match the re-registered \
                          subscription set ({e}) — re-register the original subscriptions \
                          in the original order before resuming",
-                        self.shard, snap.epoch,
-                    )
-                });
-            snap_next = snap.next_seq;
+                    self.shard, snap.epoch,
+                )
+            });
             self.metrics.snap.snapshots_loaded += 1;
         }
-        // The boundary segment holds records on both sides of the cut:
-        // everything below the snapshot's sequence watermark is already
-        // folded into the restored state. A heartbeat's stamp is the
-        // *exclusive* bound of the prefix it summarizes, so one stamped
-        // exactly at the cut is covered too.
-        let mut tail = records;
-        let logged = tail.len();
-        tail.retain(|record| match record {
-            WalRecord::Heartbeat { seq, .. } => *seq > snap_next,
-            other => other.seq() >= snap_next,
-        });
-        self.metrics.snap.tail_skipped += (logged - tail.len()) as u64;
-        self.metrics.wal.records_recovered += tail.len() as u64;
-        let instances = tail.iter().filter_map(|record| match record {
-            WalRecord::Instance { instance, .. } => Some(instance),
-            _ => None,
-        });
-        let mut rows = pack_rows(batch_size, instances).into_iter();
-        for record in tail {
+        self.metrics.wal.records_recovered += records.len() as u64;
+        let mut rows = rows.into_iter();
+        for record in records {
             match record {
                 WalRecord::Instance {
                     seq,
@@ -1063,14 +932,13 @@ impl ShardWorker {
                         let released = self.reorder.observe(hw);
                         self.dispatch_all(released);
                     }
-                    let (chunk, row) = rows.next().expect("one packed row per instance record");
-                    let key = eval_at.unwrap_or_else(|| chunk.generation_time(row as usize));
+                    let row = rows.next().expect("one packed row per instance record");
+                    let key = eval_at.unwrap_or_else(|| row.key());
                     // Replayed records keep their trace identity but
                     // zero pre-release stamps: the recovered run's fresh
                     // clock restarts near zero.
                     let released = self.push_instance(
                         key,
-                        chunk,
                         row,
                         ItemMeta {
                             seq,
@@ -1227,29 +1095,20 @@ impl ShardWorker {
     /// this worker's freshly re-registered plan store (the recovery
     /// contract — re-registering the original subscriptions in the
     /// original order — re-derives the same plan ids and subscriber
-    /// lists, so plans and subscribers resolve by id). Held instances
-    /// are packed into chunks of up to `batch_size` rows.
-    fn restore_state(&mut self, state: &[u8], batch_size: usize) -> CodecResult<()> {
-        // A chunk is shared only once it holds all its rows, so the
-        // held instances are decoded twice: the first pass collects and
-        // packs them, the second restores the buffer around the packed
-        // rows (restore is cold; the held set is bounded by the slack).
-        let mut held = Vec::new();
-        ReorderBuffer::<()>::default().load_state(&mut &state[..], |bytes| {
-            if let HeldItem::Instance(_, _, instance) = decode_stream_item(bytes)? {
-                held.push(instance);
-            }
-            Ok(())
-        })?;
-        let mut rows = pack_rows(batch_size, &held).into_iter();
+    /// lists, so plans and subscribers resolve by id). The buffer's held
+    /// instances arrive already packed into routed rows (`held`, one per
+    /// held instance in buffer order — see [`held_instances`]).
+    fn restore_state(&mut self, state: &[u8], held: Vec<RowRef>) -> CodecResult<()> {
+        let mut held = held.into_iter();
         let bytes = &mut &state[..];
         self.reorder.load_state(bytes, |bytes| {
             Ok(match decode_stream_item(bytes)? {
                 HeldItem::Instance(at, seq, _) => {
-                    let (chunk, row) = rows.next().expect("both passes decode the same items");
+                    let row = held
+                        .next()
+                        .ok_or(CodecError::Invalid("snapshot held row missing"))?;
                     StreamItem::Instance {
                         at,
-                        chunk,
                         row,
                         meta: ItemMeta {
                             seq,
@@ -1267,7 +1126,7 @@ impl ShardWorker {
         for _ in 0..n {
             let id = codec::get_u64(bytes)?;
             let tag = codec::get_u8(bytes)?;
-            let Some(&idx) = self.plan_index.get(&id) else {
+            let Some(idx) = self.plan_position(PlanId(id)) else {
                 return Err(CodecError::Invalid("snapshot plan missing"));
             };
             let plan = &mut self.plans[idx];
@@ -1308,24 +1167,13 @@ impl ShardWorker {
     /// buffer's late-drop rule (`key < watermark`) beforehand so a drop
     /// is recorded with a `Late` verdict — the buffer itself only
     /// counts.
-    fn push_instance(
-        &mut self,
-        key: TimePoint,
-        chunk: Arc<ColumnarBatch>,
-        row: u32,
-        meta: ItemMeta,
-    ) -> Vec<StreamItem> {
+    fn push_instance(&mut self, key: TimePoint, row: RowRef, meta: ItemMeta) -> Vec<StreamItem> {
         if let Some(wt) = self.trace.as_mut() {
             if self.reorder.watermark().is_some_and(|w| key < w) {
                 note_drop(wt, self.shard, TraceId(meta.seq), DropVerdict::Late);
             }
         }
-        let item = StreamItem::Instance {
-            at: key,
-            chunk,
-            row,
-            meta,
-        };
+        let item = StreamItem::Instance { at: key, row, meta };
         self.reorder.push_at(key, item)
     }
 
@@ -1336,12 +1184,7 @@ impl ShardWorker {
         let release = self.trace.as_ref().map_or(0, |wt| wt.clock.now());
         for item in released {
             match item {
-                StreamItem::Instance {
-                    at,
-                    chunk,
-                    row,
-                    mut meta,
-                } => {
+                StreamItem::Instance { at, row, mut meta } => {
                     if let Some(wt) = self.trace.as_mut() {
                         meta.release = release;
                         if wt.samples_instance(TraceId(meta.seq)) {
@@ -1356,7 +1199,7 @@ impl ShardWorker {
                             });
                         }
                     }
-                    self.dispatch(at, &chunk, row as usize, meta);
+                    self.dispatch(at, &row, meta);
                 }
                 StreamItem::Probe { id, at, seq } => {
                     let mut meta = ItemMeta {
@@ -1372,125 +1215,56 @@ impl ShardWorker {
         }
     }
 
-    /// Offers one in-order instance to every resident plan, evaluating
-    /// at the instance's observer-local time `at`.
+    /// Offers one in-order instance to the plans its hit list names,
+    /// evaluating at the instance's observer-local time `at`.
     ///
-    /// Two passes over the resident set: a *filter* pass over the
-    /// candidate index (a point query against the dispatch BVH on
-    /// dense shards, or the event buckets merged with the filter-less
-    /// residue below the threshold — then per-subscriber scope gates,
-    /// layer filters, and exact region coverage, all reads of immutable
-    /// plan fields and flat payload columns) collecting the matching
-    /// `(subscriber order, plan, subscriber)` tuples into the reused
-    /// scratch vector, then an *eval* pass running each matched plan's
-    /// detector ONCE (memoized per dispatch) and fanning its output out
-    /// to the matched subscribers in global registration order — so the
-    /// delivery stream is bit-identical to evaluating one detector per
-    /// subscription. The row is only materialized into a standalone
-    /// instance when the filter pass matched something, so non-matching
-    /// rows never touch the attribute arena. The split is
-    /// what lets the filter cost (`scope_prune`) and the evaluation
-    /// cost (`evaluate`) be timed as separate stages; it is
-    /// behavior-preserving because the filters never read state the
-    /// evaluators mutate. (`scope_skipped` counts scoped-out instances
-    /// among *event-matching candidates* — and on BVH shards a
-    /// candidate must additionally be a spatial hit, so the counter's
-    /// absolute value depends on which index served the dispatch; only
-    /// its being nonzero is portable.)
-    fn dispatch(&mut self, at: TimePoint, chunk: &ColumnarBatch, row: usize, meta: ItemMeta) {
-        let location = chunk.representative(row);
-        let layer = chunk.layer(row);
-        let event = chunk.event(row);
+    /// The router's precision pass made the row's one spatial decision:
+    /// the hits name every `(plan, scope slot)` on this shard whose
+    /// scope covers the location. The *filter* pass finds each listed
+    /// plan by binary search (one retired since routing is skipped),
+    /// checks its event filter, layer filter and region, then keeps each
+    /// subscriber whose slot is listed and who registered before the
+    /// row's ingest, as `(subscriber order, plan, subscriber)` tuples in
+    /// the reused scratch vector; `scope_skipped` counts the subscribers
+    /// of a passing plan whose slot is not listed. The *eval* pass runs
+    /// each matched plan's detector ONCE (memoized) and fans its output
+    /// out in global registration order, bit-identical to one detector
+    /// per subscription. Only matched rows are materialized. The split
+    /// times filtering (`scope_prune`) apart from evaluation
+    /// (`evaluate`), and the filters read no state the evaluators mutate.
+    fn dispatch(&mut self, at: TimePoint, row: &RowRef, meta: ItemMeta) {
+        let (rows, i) = (&row.chunk.rows, row.index as usize);
+        let location = rows.representative(i);
+        let layer = rows.layer(i);
+        let event = rows.event(i);
         let shard = self.shard;
         let mut matched = std::mem::take(&mut self.match_scratch);
         matched.clear();
         let prune_token = self.obs_start();
-        // Candidate enumeration: on dense shards, a point query against
-        // the BVH over region bounding boxes; below the threshold, the
-        // event buckets merged with the filter-less residue. The BVH
-        // path applies the event filter per candidate instead of up
-        // front — with a handful of spatial hits that is cheaper than
-        // it reads.
-        let via_bvh = self.sub_bvh.is_some();
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        cands.clear();
-        if let Some(bvh) = &self.sub_bvh {
-            bvh.query_point(location, &mut cands);
-            cands.sort_unstable();
-        } else {
-            let bucket = self.by_event.get(event).map_or(&[][..], Vec::as_slice);
-            let (mut i, mut j) = (0, 0);
-            loop {
-                match (bucket.get(i), self.wildcard.get(j)) {
-                    (Some(&a), Some(&b)) => {
-                        if a < b {
-                            i += 1;
-                            cands.push(a as u32);
-                        } else {
-                            j += 1;
-                            cands.push(b as u32);
-                        }
-                    }
-                    (Some(&a), None) => {
-                        i += 1;
-                        cands.push(a as u32);
-                    }
-                    (None, Some(&b)) => {
-                        j += 1;
-                        cands.push(b as u32);
-                    }
-                    (None, None) => break,
-                }
-            }
-        }
         let mut scope_pruned = false;
-        for &cand in &cands {
-            let idx = cand as usize;
-            let plan = &self.plans[idx];
-            if via_bvh {
-                // The buckets pre-filtered by event on the linear path;
-                // spatial hits check it here instead.
-                if let Some(filter) = &plan.event_filter {
-                    if filter != event {
-                        continue;
-                    }
-                }
-            }
-            // Per-subscriber scope gates before the plan-level filters:
-            // a scoped subscriber never sees (or pays any filter for)
-            // an instance outside its routing scope — the worker-side
-            // half of what the router's precision pass prunes at
-            // enqueue time, reproduced per subscriber so shared
-            // evaluation prunes exactly what per-subscription
-            // evaluation did.
-            let gate_from = matched.len();
-            for (member, sub) in plan.subscribers.iter().enumerate() {
-                if let Some((scope_bbox, scope)) = &sub.scope {
-                    if !scope_bbox.contains(location) || !scope.covers(location) {
-                        self.metrics.scope_skipped += 1;
-                        scope_pruned = true;
-                        continue;
-                    }
-                }
-                matched.push((sub.id.raw(), cand, member as u32));
-            }
-            let plan_passes = 'plan: {
-                if let Some(layers) = &plan.layers {
-                    if !layers.contains(&layer) {
-                        break 'plan false;
-                    }
-                }
-                // A BVH hit already proved bbox containment.
-                if !via_bvh && !self.plan_bboxes[idx].contains(location) {
-                    break 'plan false;
-                }
-                plan.region.covers(location)
+        for plan_hits in row.hits().chunk_by(|a, b| a.plan == b.plan) {
+            let Some(idx) = self.plan_position(plan_hits[0].plan) else {
+                continue;
             };
+            let plan = &self.plans[idx];
+            let plan_passes = plan.event_filter.as_ref().is_none_or(|f| f == event)
+                && plan.layers.as_ref().is_none_or(|l| l.contains(&layer))
+                && plan.region.covers(location);
             if !plan_passes {
-                matched.truncate(gate_from);
+                continue;
+            }
+            for (member, sub) in plan.subscribers.iter().enumerate() {
+                if meta.seq < sub.since {
+                    continue;
+                }
+                if !plan_hits.iter().any(|h| h.slot == sub.slot) {
+                    self.metrics.scope_skipped += 1;
+                    scope_pruned = true;
+                    continue;
+                }
+                matched.push((sub.id.raw(), idx as u32, member as u32));
             }
         }
-        self.cand_scratch = cands;
         // Global registration order: the fan-out below must deliver in
         // exactly the order one-detector-per-subscription dispatch did,
         // however subscribers interleave across plans.
@@ -1518,16 +1292,16 @@ impl ShardWorker {
         let evaluate = self.trace.as_ref().map_or(0, |wt| wt.clock.now());
         // One materialization per matched row, shared by every matched
         // plan.
-        let instance = &chunk.materialize(row);
+        let instance = &rows.materialize(i);
         let shard32 = u32::try_from(shard).unwrap_or(u32::MAX);
         // Each plan evaluates once per dispatch, at its first matched
         // subscriber; the memo serves the rest. Matched plans per
         // instance are few, so a linear-scanned pair list beats a map.
         let mut memo: Vec<(u32, PlanOutcome)> = Vec::new();
-        for &(_, cand, member) in &matched {
-            let plan_idx = cand as usize;
-            let outcome = match memo.iter().position(|(c, _)| *c == cand) {
-                Some(i) => &memo[i].1,
+        for &(_, plan_pos, member) in &matched {
+            let plan_idx = plan_pos as usize;
+            let outcome = match memo.iter().position(|(p, _)| *p == plan_pos) {
+                Some(m) => &memo[m].1,
                 None => {
                     let plan = &mut self.plans[plan_idx];
                     let outcome = match &mut plan.kind {
@@ -1616,7 +1390,7 @@ impl ShardWorker {
                             }
                         }
                     };
-                    memo.push((cand, outcome));
+                    memo.push((plan_pos, outcome));
                     &memo.last().expect("just pushed").1
                 }
             };
@@ -1904,7 +1678,9 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::BatchItem;
+    use crate::batch::RoutedChunk;
+    use crate::router::ShardRouter;
+    use crate::shard_map::ShardMap;
     use crate::subscription::{
         Collector, SilenceSpec, Subscription, SustainedSpec, SustainedValue,
     };
@@ -1922,35 +1698,35 @@ mod tests {
         .build()
     }
 
+    fn region() -> SpatialExtent {
+        SpatialExtent::field(Field::rect(Rect::new(
+            Point::new(0.0, 0.0),
+            Point::new(100.0, 100.0),
+        )))
+    }
+
+    /// A one-shard router homing plan 0 over [`region`]: rows routed or
+    /// packed through it carry plan 0's hit.
+    fn plan_router() -> ShardRouter {
+        let mut router = ShardRouter::new(ShardMap::build(region().bounding_box(), 1), 4, true);
+        router.subscribe(PlanId(0), region(), None, None);
+        router
+    }
+
     /// Active samples at t=10 and t=30 as rows of one chunk, routed as
     /// operations 0 and 1.
     fn two_readings() -> Batch {
-        let mut chunk = ColumnarBatch::new();
-        chunk.push(&reading(10, 2.0));
-        chunk.push(&reading(30, 2.0));
-        let chunk = Arc::new(chunk);
-        let item = |seq: u64, prefix_high_water| BatchItem {
-            seq,
-            chunk: Arc::clone(&chunk),
-            row: seq as u32,
-            prefix_high_water,
-            trace: None,
-        };
-        Batch {
-            instances: vec![item(0, None), item(1, Some(TimePoint::new(10)))],
-            high_water: Some(TimePoint::new(30)),
-            seq: 2,
-            enqueue: 0,
-        }
+        let mut router = plan_router();
+        let mut chunk = RoutedChunk::default();
+        chunk.rows.push(&reading(10, 2.0));
+        chunk.rows.push(&reading(30, 2.0));
+        let _ = router.route_batch(chunk);
+        router.take_batch(0)
     }
 
     fn sustained_worker(collector: &Collector) -> ShardWorker {
-        let region = SpatialExtent::field(Field::rect(Rect::new(
-            Point::new(0.0, 0.0),
-            Point::new(100.0, 100.0),
-        )));
-        let sub =
-            Subscription::new("episode", region, collector.sink()).sustained_spec(SustainedSpec {
+        let sub = Subscription::new("episode", region(), collector.sink()).sustained_spec(
+            SustainedSpec {
                 config: SustainedConfig {
                     min_duration: Duration::new(10),
                     enter_threshold: 1.0,
@@ -1962,11 +1738,16 @@ mod tests {
                     timeout: Duration::new(5),
                     inactive_value: 0.0,
                 }),
-            });
+            },
+        );
         let mut worker = ShardWorker::new(0, Duration::ZERO, None, None, 1024, None, None);
-        worker.handle(ShardMessage::Subscribe(Box::new(
-            SubscriptionState::compile(SubscriptionId(0), PlanId(0), sub),
-        )));
+        worker.handle(ShardMessage::Subscribe(Box::new(PlanState::compile(
+            SubscriptionId(0),
+            PlanId(0),
+            0,
+            0,
+            sub,
+        ))));
         worker
     }
 
@@ -1985,10 +1766,12 @@ mod tests {
         worker.handle(ShardMessage::Batch(two_readings()));
         worker.handle(ShardMessage::Recover {
             snapshot: None,
+            held: Vec::new(),
             records: Vec::new(),
+            rows: Vec::new(),
+            tail_skipped: 0,
             durable_seq: None,
             torn: 0,
-            batch_size: 4,
         });
         // Dropped: the shard is still replaying its log.
         worker.handle(ShardMessage::SilenceProbe {
@@ -2026,25 +1809,29 @@ mod tests {
     fn resume_overlap_is_deduplicated_by_sequence() {
         let collector = Collector::new();
         let mut worker = sustained_worker(&collector);
+        let samples = [reading(10, 2.0), reading(30, 2.0)];
+        let records = vec![
+            WalRecord::Instance {
+                seq: 0,
+                eval_at: None,
+                prefix_high_water: None,
+                instance: samples[0].clone(),
+            },
+            WalRecord::Instance {
+                seq: 1,
+                eval_at: None,
+                prefix_high_water: Some(TimePoint::new(10)),
+                instance: samples[1].clone(),
+            },
+        ];
         worker.handle(ShardMessage::Recover {
             snapshot: None,
-            records: vec![
-                WalRecord::Instance {
-                    seq: 0,
-                    eval_at: None,
-                    prefix_high_water: None,
-                    instance: reading(10, 2.0),
-                },
-                WalRecord::Instance {
-                    seq: 1,
-                    eval_at: None,
-                    prefix_high_water: Some(TimePoint::new(10)),
-                    instance: reading(30, 2.0),
-                },
-            ],
+            held: Vec::new(),
+            rows: plan_router().pack_rows(0, 4, &samples),
+            records,
+            tail_skipped: 0,
             durable_seq: Some(1),
             torn: 0,
-            batch_size: 4,
         });
         worker.handle(ShardMessage::EndRecovery);
         // The upstream re-feeds from sequence 0: the shard already has
@@ -2104,10 +1891,6 @@ mod tests {
         // A live worker with watermark slack, so pushed items (and the
         // probe) are still *pending* when the checkpoint cuts.
         let collector = Collector::new();
-        let region = SpatialExtent::field(Field::rect(Rect::new(
-            Point::new(0.0, 0.0),
-            Point::new(100.0, 100.0),
-        )));
         let spec = SustainedSpec {
             config: SustainedConfig {
                 min_duration: Duration::new(10),
@@ -2123,11 +1906,15 @@ mod tests {
         };
         let mut worker =
             ShardWorker::new(0, Duration::new(50), wal(0), snap.clone(), 1024, None, None);
-        let sub = Subscription::new("episode", region.clone(), collector.sink())
-            .sustained_spec(spec.clone());
-        worker.handle(ShardMessage::Subscribe(Box::new(
-            SubscriptionState::compile(SubscriptionId(0), PlanId(0), sub),
-        )));
+        let sub =
+            Subscription::new("episode", region(), collector.sink()).sustained_spec(spec.clone());
+        worker.handle(ShardMessage::Subscribe(Box::new(PlanState::compile(
+            SubscriptionId(0),
+            PlanId(0),
+            0,
+            0,
+            sub,
+        ))));
         worker.handle(ShardMessage::Batch(two_readings()));
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
@@ -2152,16 +1939,23 @@ mod tests {
         let snapshot = stem_snap::load_latest(&dir, 0).unwrap().snapshot.unwrap();
         assert_eq!(snapshot.next_seq, 3);
         let mut worker = ShardWorker::new(0, Duration::new(50), wal(0), snap, 1024, None, None);
-        let sub = Subscription::new("episode", region, survivor.sink()).sustained_spec(spec);
-        worker.handle(ShardMessage::Subscribe(Box::new(
-            SubscriptionState::compile(SubscriptionId(0), PlanId(0), sub),
-        )));
+        let sub = Subscription::new("episode", region(), survivor.sink()).sustained_spec(spec);
+        worker.handle(ShardMessage::Subscribe(Box::new(PlanState::compile(
+            SubscriptionId(0),
+            PlanId(0),
+            0,
+            0,
+            sub,
+        ))));
+        let held = plan_router().pack_rows(0, 4, &held_instances(&snapshot.state));
         worker.handle(ShardMessage::Recover {
             snapshot: Some(Box::new(snapshot)),
+            held,
             records: Vec::new(),
+            rows: Vec::new(),
+            tail_skipped: 0,
             durable_seq: Some(2),
             torn: 0,
-            batch_size: 4,
         });
         // A live probe racing the recovery window is still suppressed
         // across the snapshot boundary...

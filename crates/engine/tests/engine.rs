@@ -1320,13 +1320,15 @@ fn rect_extent(x0: f64, y0: f64, x1: f64, y1: f64) -> SpatialExtent {
 }
 
 /// A station-style subscription (unbounded semantic region) scoped to
-/// one district observes exactly the in-district stream, the worker
-/// counts its out-of-scope skips, and the router prunes broadcast
-/// deliveries to its home shard at enqueue time. Runs under durable
-/// logging: that is the mode that retains the territorial owner's copy
-/// of every instance, which is exactly what the worker-side scan must
-/// prune (without a log, the router drops uncovered owner deliveries
-/// at enqueue time and the worker never sees them).
+/// one district observes exactly the in-district stream, and the router
+/// prunes broadcast deliveries to its home shard at enqueue time. Runs
+/// under durable logging: that is the mode that retains the territorial
+/// owner's copy of every instance, so out-of-district rows on the scoped
+/// home's own territory still reach that shard and its log — with an
+/// empty hit list, so they are journaled but never evaluated. Then a
+/// shared plain plan with two distinct subscriber scopes shows the
+/// worker-side half: each row names one scope's slot, and the other
+/// subscriber is gated out and counted.
 #[test]
 fn scope_prunes_out_of_district_work_before_evaluation() {
     let dir = wal_dir("scope-prune");
@@ -1363,20 +1365,57 @@ fn scope_prunes_out_of_district_work_before_evaluation() {
         engine.ingest(mk("reading", i, 10 * i, x, y, 50.0));
     }
     let report = engine.finish();
-    assert_eq!(scoped.take().len(), 14, "only the in-district third");
+    let district = scoped.take();
+    assert_eq!(district.len(), 14, "only the in-district third");
     assert_eq!(unscoped.take().len(), 42, "the unscoped control sees all");
     assert_eq!(report.router.scoped_subscriptions, 1);
-    assert!(
-        report.total_scope_skipped() > 0,
-        "worker-side pruning must be visible: {}",
-        report.summary_line()
-    );
+    // The scoped home received the in-district third plus the owner
+    // copies of the near third, and journaled every one of them...
+    let home = &report.shards[district[0].shard];
+    assert_eq!(home.ingested, 28, "{}", report.summary_line());
+    assert!(home.wal.records_appended >= 28);
+    // ...but evaluated only the district: 14 there, 42 for the control.
+    let evaluated: u64 = report.shards.iter().map(|s| s.evaluated).sum();
+    assert_eq!(evaluated, 14 + 42, "owner copies are never evaluated");
+    assert_eq!(report.total_scope_skipped(), 0, "no listed plan was gated");
     // The out-of-district half is never copied to the scoped home shard
     // (unless it owns the territory): strictly less fanout than the
     // 2-deliveries-per-instance an unscoped pair would cost.
     assert!(
         report.router.fanout < 2 * report.router.routed,
         "scope must prune broadcast fanout: {}",
+        report.summary_line()
+    );
+
+    // One plain plan, two subscribers scoped to the west and east
+    // halves: the worker's slot gate is what keeps each to its half.
+    let mut engine = Engine::start(
+        EngineConfig::new(bounds())
+            .with_shards(4)
+            .with_batch_size(3)
+            .deterministic(),
+    );
+    let (west, east) = (Collector::new(), Collector::new());
+    for (collector, x0) in [(&west, 0.0), (&east, 50.0)] {
+        engine.subscribe(
+            Subscription::new("half", everywhere(), collector.sink())
+                .scoped_to(rect_extent(x0, 0.0, x0 + 50.0, 100.0))
+                .for_event("reading")
+                .homed_near(Point::new(50.0, 50.0)),
+        );
+    }
+    for i in 0..30u64 {
+        let x = if i % 3 == 0 { 20.0 } else { 80.0 };
+        engine.ingest(mk("reading", i, 10 * i, x, 40.0, 50.0));
+    }
+    let report = engine.finish();
+    assert_eq!(report.plans_active, 1, "both halves share one plan");
+    assert_eq!(west.take().len(), 10);
+    assert_eq!(east.take().len(), 20);
+    assert_eq!(
+        report.total_scope_skipped(),
+        30,
+        "each row gates out the other half's subscriber: {}",
         report.summary_line()
     );
 }
@@ -1542,6 +1581,217 @@ fn shared_plan_subscribers_match_their_solo_runs() {
     }
 }
 
+/// A subscription registered mid-stream observes exactly the instances
+/// ingested after `subscribe` returns, whatever else is held behind the
+/// watermark or happens to reach its home shard. With a wide slack the
+/// first half of the stream is still held when two late subscriptions
+/// arrive: one joins the early subscription's plan with the same scope
+/// (its slot is in the held rows' hit lists), the other opens a plan of
+/// its own over a region only durable owner copies would have carried.
+/// Both see the second half only, identically at 1 and 4 shards, with
+/// and without a WAL, threaded and deterministic.
+#[test]
+fn late_subscriptions_observe_exactly_the_later_stream() {
+    let hot = |c: &Collector, x: f64| {
+        Subscription::new("hot", circle_region(x, x, 15.0), c.sink()).for_event("reading")
+    };
+    let stream: Vec<EventInstance> = (0..48u64)
+        .map(|i| {
+            let (x, y) = match i % 3 {
+                0 => (25.0, 25.0),
+                1 => (75.0, 75.0),
+                _ => (50.0, 10.0),
+            };
+            mk("reading", i, 10 * i, x, y, 50.0)
+        })
+        .collect();
+    let (head, tail) = stream.split_at(24);
+    let expected = |x: f64| -> Vec<String> {
+        let region = circle_region(x, x, 15.0);
+        let mut out: Vec<String> = tail
+            .iter()
+            .filter(|i| region.covers(i.estimated_location().representative()))
+            .map(|i| format!("{:?}", NotificationKind::Match(i.clone())))
+            .collect();
+        out.sort();
+        out
+    };
+    for shards in [1, 4] {
+        for wal in [false, true] {
+            for threaded in [false, true] {
+                let dir = wal_dir(&format!("late-{shards}-{wal}-{threaded}"));
+                let mut config = EngineConfig::new(bounds())
+                    .with_shards(shards)
+                    .with_batch_size(5)
+                    .with_watermark_slack(Duration::new(10_000));
+                if wal {
+                    config = config.with_wal(&dir);
+                }
+                if !threaded {
+                    config = config.deterministic();
+                }
+                let mut engine = Engine::start(config);
+                let (early, joiner, fresh) = (Collector::new(), Collector::new(), Collector::new());
+                engine.subscribe(hot(&early, 25.0));
+                engine.ingest_all(head);
+                engine.flush();
+                engine.subscribe(hot(&joiner, 25.0));
+                engine.subscribe(hot(&fresh, 75.0));
+                engine.ingest_all(tail);
+                let report = engine.finish();
+                let label = format!("{shards} shards, wal={wal}, threaded={threaded}");
+                assert_eq!(report.plans_active, 2, "{label}: the joiner shares a plan");
+                assert_eq!(early.take().len(), 16, "{label}");
+                assert_eq!(
+                    notification_multiset(joiner.take()),
+                    expected(25.0),
+                    "{label}: the plan joiner"
+                );
+                assert_eq!(
+                    notification_multiset(fresh.take()),
+                    expected(75.0),
+                    "{label}: the fresh plan"
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+}
+
+/// Crash recovery through the router's hit lists: 20 overlapping circles
+/// and a two-scope plain plan all homed on one shard (so its precision
+/// pass runs on the BVH), a pattern plan beside them, and a slack wide
+/// enough that a checkpoint always finds rows held in the reorder
+/// buffer. The run is killed after checkpoints; recovery packs both the
+/// WAL tail and the floor snapshot's held rows with fresh hit lists, and
+/// the resumed deliveries, minus what the snapshot covers, continue the
+/// uninterrupted run exactly.
+#[test]
+fn recovery_through_router_hits_continues_the_uninterrupted_run() {
+    let config = |dir: &std::path::Path| {
+        EngineConfig::new(bounds())
+            .with_shards(2)
+            .with_batch_size(3)
+            .with_watermark_slack(Duration::new(60))
+            .with_wal(dir)
+            .with_checkpoint(stem_engine::CheckpointPolicy::EveryNBatches(5))
+            .deterministic()
+    };
+    let subscribe_all = |engine: &mut dyn FnMut(Subscription), c: &Collector| {
+        let hint = Point::new(30.0, 30.0);
+        for i in 0..20u64 {
+            let f = i as f64;
+            engine(
+                Subscription::new(
+                    format!("c{i}"),
+                    circle_region(20.0 + f, 25.0 + (f * 7.0) % 11.0, 8.0 + f % 5.0),
+                    c.sink(),
+                )
+                .for_event("reading")
+                .when(dsl::parse("x.temp > 40").unwrap())
+                .homed_near(hint),
+            );
+        }
+        for (x0, x1) in [(0.0, 30.0), (25.0, 60.0)] {
+            engine(
+                Subscription::new("split", circle_region(30.0, 30.0, 28.0), c.sink())
+                    .scoped_to(rect_extent(x0, 0.0, x1, 60.0))
+                    .for_event("reading")
+                    .homed_near(hint),
+            );
+        }
+        engine(
+            Subscription::new("pair", circle_region(30.0, 30.0, 20.0), c.sink())
+                .for_event("reading")
+                .when(dsl::parse("avg(a.temp, b.temp) > 45").unwrap())
+                .matching(
+                    Pattern::atom("a", "reading").then(Pattern::atom("b", "reading")),
+                    ConsumptionMode::Chronicle,
+                    Some(Duration::new(100)),
+                )
+                .observed_by(ConditionObserver::new(
+                    ObserverId::Ccu(CcuId::new(9)),
+                    hint,
+                    1.0,
+                )),
+        );
+    };
+    // Mildly disordered times inside the slack; locations cover the
+    // cluster and the far shard.
+    let stream: Vec<EventInstance> = (0..150u64)
+        .map(|i| {
+            let t = 10 * i + (i * 13 % 5) * 7;
+            let (x, y) = if i % 4 == 3 {
+                (80.0, 80.0)
+            } else {
+                ((i * 17 % 55) as f64, (i * 29 % 50) as f64)
+            };
+            mk("reading", i, t, x, y, 35.0 + (i * 11 % 20) as f64)
+        })
+        .collect();
+
+    let full_dir = wal_dir("hits-full");
+    let reference = Collector::new();
+    let mut engine = Engine::start(config(&full_dir));
+    subscribe_all(
+        &mut |sub| {
+            engine.subscribe(sub);
+        },
+        &reference,
+    );
+    engine.ingest_all(&stream);
+    let full = engine.finish();
+    assert!(full.router.bvh_nodes_visited > 0, "the home's BVH served");
+    assert!(full.total_scope_skipped() > 0, "the two-scope plan gated");
+    let expected = per_sub_sequences(reference.take());
+
+    let crash_dir = wal_dir("hits-crash");
+    let mut engine = Engine::start(config(&crash_dir));
+    subscribe_all(
+        &mut |sub| {
+            engine.subscribe(sub);
+        },
+        &Collector::new(),
+    );
+    engine.ingest_all(stream.iter().take(100));
+    engine.flush();
+    drop(engine); // the crash
+
+    let survivor = Collector::new();
+    let mut recovery = Engine::recover(config(&crash_dir)).expect("recover from durable state");
+    subscribe_all(
+        &mut |sub| {
+            recovery.subscribe(sub);
+        },
+        &survivor,
+    );
+    assert!(
+        recovery.stats().snapshot_epoch.is_some(),
+        "a checkpoint floor"
+    );
+    let skipped = recovery.snapshot_delivered();
+    let mut engine = recovery.resume();
+    let resume = usize::try_from(engine.resume_from()).unwrap();
+    assert!(resume > 0 && resume <= 100);
+    engine.ingest_all(stream.iter().skip(resume));
+    let report = engine.finish();
+    assert!(
+        report.total_wal().records_recovered > 0,
+        "the tail replayed"
+    );
+    let resumed = per_sub_sequences(survivor.take());
+    for (sub, full_sequence) in &expected {
+        let cut = usize::try_from(*skipped.get(sub).unwrap_or(&0)).unwrap();
+        assert_eq!(
+            resumed.get(sub).cloned().unwrap_or_default(),
+            full_sequence[cut..],
+            "sub {sub}: resumed deliveries must continue the reference run"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&full_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
+}
+
 use proptest::prelude::*;
 
 proptest! {
@@ -1552,18 +1802,33 @@ proptest! {
     /// the representative point) predicts, across random streams ×
     /// region sets × shard counts × chunk sizes × both execution modes,
     /// and all four agree on the routing counters.
+    ///
+    /// The first `crowd` circles cluster around one point and are homed
+    /// near it, so runs with a crowd of 16 or more put that many plans
+    /// on one home and check the router's BVH side end to end.
     #[test]
     fn every_ingest_entry_point_matches_a_brute_force_oracle(
         regions in proptest::collection::vec(
-            (0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0), 1..16),
+            (0.0f64..90.0, 0.0f64..90.0, 2.0f64..25.0), 1..40),
+        crowd in 0usize..25,
         points in proptest::collection::vec(
             (0.0f64..100.0, 0.0f64..100.0), 1..100),
         shards in 1usize..5,
         batch in 1usize..40,
         threaded in proptest::bool::ANY,
     ) {
-        let circles: Vec<SpatialExtent> =
-            regions.iter().map(|&(x, y, r)| circle_region(x, y, r)).collect();
+        let crowd = crowd.min(regions.len());
+        let circles: Vec<SpatialExtent> = regions
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, r))| {
+                if i < crowd {
+                    circle_region(40.0 + x / 10.0, 40.0 + y / 10.0, r)
+                } else {
+                    circle_region(x, y, r)
+                }
+            })
+            .collect();
         // Every seventh instance carries another event id, so the
         // subscriptions' event filter is exercised too.
         let stream: Vec<EventInstance> = points
@@ -1595,10 +1860,13 @@ proptest! {
             let mut engine = Engine::start(config);
             let collector = Collector::new();
             for (i, circle) in circles.iter().enumerate() {
-                engine.subscribe(
-                    Subscription::new(format!("r{i}"), circle.clone(), collector.sink())
-                        .for_event("reading"),
-                );
+                let sub = Subscription::new(format!("r{i}"), circle.clone(), collector.sink())
+                    .for_event("reading");
+                engine.subscribe(if i < crowd {
+                    sub.homed_near(Point::new(45.0, 45.0))
+                } else {
+                    sub
+                });
             }
             match entry {
                 "ingest" => {
@@ -1641,6 +1909,9 @@ proptest! {
                 );
             } else {
                 prop_assert_eq!(router.routed, stream.len() as u64);
+                if shards == 1 && circles.len() >= 16 {
+                    prop_assert!(router.bvh_nodes_visited > 0, "the BVH side served");
+                }
                 first = Some(router);
             }
         }
