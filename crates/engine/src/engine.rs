@@ -13,7 +13,7 @@ use crate::shard_map::ShardMap;
 use crate::slot::ShardSlot;
 use crate::subscription::{Subscription, SubscriptionId};
 use crate::trace::{FlightRing, TraceHandle, TraceReport, WorkerTrace};
-use crate::worker::{held_instances, PlanState, ShardMessage, ShardWorker, WorkerObs};
+use crate::worker::{held_instances, Member, PlanState, ShardMessage, ShardWorker, WorkerObs};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -78,6 +78,9 @@ struct PlanEntry {
     scopes: BTreeMap<String, u32>,
 }
 
+/// The `Engine::sub_plans` entry of a retired subscription.
+const RETIRED: u32 = u32::MAX;
+
 /// The streaming runtime. See the crate docs for the architecture.
 ///
 /// Lifecycle: [`Engine::start`] → [`Engine::subscribe`] /
@@ -91,8 +94,11 @@ pub struct Engine {
     plan_keys: HashMap<String, PlanId>,
     /// Live plans by raw id.
     plan_entries: BTreeMap<u64, PlanEntry>,
-    /// Subscription → its plan (unsubscribe / silence-probe lookup).
-    sub_plans: HashMap<u64, PlanId>,
+    /// Subscription → its plan (unsubscribe / silence-probe lookup),
+    /// indexed by the raw subscription id: ids are dense and never
+    /// reused, so this costs 4 bytes per id ever issued. A retired
+    /// subscription reads [`RETIRED`].
+    sub_plans: Vec<u32>,
     /// Next plan id — dense, allocated in registration order so a
     /// recovery replaying the same subscriptions re-derives the same
     /// ids.
@@ -294,7 +300,7 @@ impl Engine {
             next_subscription: 0,
             plan_keys: HashMap::new(),
             plan_entries: BTreeMap::new(),
-            sub_plans: HashMap::new(),
+            sub_plans: Vec::new(),
             next_plan: 0,
             sent_msgs,
             resume_seq: 0,
@@ -466,6 +472,14 @@ impl Engine {
     /// ingested after `subscribe` returns — not earlier ones still held
     /// behind the watermark — so what a late subscription sees does not
     /// depend on the shard count, the execution mode, or durability.
+    ///
+    /// Sharing: a subscription structurally identical to a live one on
+    /// the same home shard joins that one's plan (see the crate docs).
+    /// Only its member record travels to the shard — id, first ingest
+    /// sequence, delivered count and sink, 40 bytes — into the group of
+    /// its scope's slot; the first subscription of a plan compiles the
+    /// template. Every id ever issued costs 4 more bytes in the engine's
+    /// dense subscription → plan index (ids are never reused).
     pub fn subscribe(&mut self, subscription: Subscription) -> SubscriptionId {
         let since = self.router.seq();
         self.register(subscription, since)
@@ -480,7 +494,7 @@ impl Engine {
         let home = self.router.home_for(&scope, subscription.home_hint);
         let key = plan_key(&subscription, home, id);
         let scope_tag = format!("{scope:?}");
-        let (plan, slot) = match self.plan_keys.get(&key) {
+        let (plan, joined) = match self.plan_keys.get(&key) {
             Some(&plan) => {
                 // Join an existing plan: one more subscriber on the
                 // same detector instance. Widen the router interest
@@ -497,7 +511,7 @@ impl Engine {
                         .add_scope(plan, scope, subscription.layers.as_deref());
                     next
                 });
-                (plan, slot)
+                (plan, Some(slot))
             }
             None => {
                 let plan = PlanId(self.next_plan);
@@ -519,27 +533,54 @@ impl Engine {
                         scopes: BTreeMap::from([(scope_tag, 0)]),
                     },
                 );
-                (plan, 0)
+                (plan, None)
             }
         };
-        self.sub_plans.insert(id.raw(), plan);
-        let state = PlanState::compile(id, plan, slot, since, subscription);
+        debug_assert_eq!(self.sub_plans.len() as u64, id.raw(), "ids are dense");
+        self.sub_plans
+            .push(u32::try_from(plan.raw()).expect("fewer than 2^32 - 1 plans"));
+        // A joiner sends only its member record; the plan's first
+        // subscriber compiles the template.
+        let message = match joined {
+            Some(slot) => ShardMessage::Join {
+                plan,
+                slot,
+                member: Member::new(id, since, subscription.sink),
+            },
+            None => {
+                ShardMessage::Subscribe(Box::new(PlanState::compile(id, plan, since, subscription)))
+            }
+        };
         // Flush anything already routed so registration order is
         // preserved relative to the instance stream.
         self.flush_shard(home);
-        self.send(home, ShardMessage::Subscribe(Box::new(state)));
+        self.send(home, message);
         id
     }
 
-    /// Retires a subscription. Returns `false` if the id is unknown.
+    /// The plan subscription `id` rides; `None` once it is retired or
+    /// if it was never issued.
+    fn plan_of(&self, id: SubscriptionId) -> Option<PlanId> {
+        let raw = *self.sub_plans.get(usize::try_from(id.raw()).ok()?)?;
+        (raw != RETIRED).then_some(PlanId(u64::from(raw)))
+    }
+
+    /// Retires a subscription. Returns `false` if the id was never
+    /// issued by this engine or is already retired.
+    ///
+    /// The dense index names the subscription's plan, so the home shard
+    /// finds the member by binary search (plan, then id within its slot
+    /// groups) instead of scanning every subscriber. The last member out
+    /// retires the plan and its router interest.
     ///
     /// Instances still held behind the watermark at this point are
     /// forfeited: they release after the retirement takes effect and
     /// the subscription no longer observes them.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let Some(plan) = self.sub_plans.remove(&id.raw()) else {
+        let Some(plan) = self.plan_of(id) else {
             return false;
         };
+        self.sub_plans[id.raw() as usize] = RETIRED;
         let entry = self
             .plan_entries
             .get_mut(&plan.raw())
@@ -558,7 +599,7 @@ impl Engine {
             debug_assert_eq!(removed, Some(home), "router lost a live plan interest");
         }
         self.flush_shard(home);
-        self.send(home, ShardMessage::Unsubscribe(id));
+        self.send(home, ShardMessage::Unsubscribe { id, plan });
         true
     }
 
@@ -962,7 +1003,8 @@ impl Engine {
     /// Sends a silence heartbeat to one sustained subscription (see
     /// [`crate::SilenceSpec`]): if its input has been quiet for the
     /// configured timeout, the inactive sample is fed at `at` so open
-    /// episodes can close. Returns `false` for unknown ids.
+    /// episodes can close. Returns `false` for ids never issued or
+    /// already retired.
     ///
     /// The probe rides the home shard's reorder buffer like any other
     /// stream entry: it reaches the detector in stream order (earlier
@@ -970,14 +1012,10 @@ impl Engine {
     /// advances that shard's stream clock to `at`, and is discarded as
     /// stale if the watermark has already passed `at`.
     pub fn probe_silence(&mut self, id: SubscriptionId, at: TimePoint) -> bool {
-        let Some(home) = self
-            .sub_plans
-            .get(&id.raw())
-            .and_then(|plan| self.plan_entries.get(&plan.raw()))
-            .map(|entry| entry.home)
-        else {
+        let Some(plan) = self.plan_of(id) else {
             return false;
         };
+        let home = self.plan_entries[&plan.raw()].home;
         // Flush first so the probe lands after everything routed so far.
         self.flush_shard(home);
         // Probes consume ingest sequence numbers from the same counter
@@ -991,6 +1029,7 @@ impl Engine {
             home,
             ShardMessage::SilenceProbe {
                 id,
+                plan,
                 at,
                 seq,
                 prefix_high_water,

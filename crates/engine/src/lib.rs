@@ -32,8 +32,9 @@
 //!   subscription whose scope covers it — plus the shard owning its
 //!   location when a write-ahead log needs a durable copy — with the
 //!   covering `(plan, scope slot)` pairs on that shard. That hit list is
-//!   the only spatial decision: a worker checks just the listed plans
-//!   and gates each subscriber on its own slot. Batches travel over
+//!   the only spatial decision: a worker checks just the listed plans,
+//!   evaluates each once, and fans a notifying outcome out to the
+//!   eligible members of the listed slot groups. Batches travel over
 //!   bounded per-shard steal-queue slots; a barrier (`sync` / `finish`)
 //!   skips shards whose processed counter already matches what was sent.
 //! * A parked shard worker wakes at three points only: its queue fills,

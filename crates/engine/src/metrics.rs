@@ -16,17 +16,25 @@ pub struct ShardMetrics {
     pub released: u64,
     /// Instances dropped as late (behind the watermark).
     pub late_dropped: u64,
-    /// Condition / pattern evaluations performed.
+    /// Condition / pattern evaluations, counted per subscriber as one
+    /// detector per subscription would: each plan is evaluated once per
+    /// row, and the count grows by the plan's eligible members in the
+    /// slot groups the row's hits list (those registered before the
+    /// row's ingest). The worker adds that count without visiting the
+    /// members: the eligible ones are a prefix of each id-ordered group.
     pub evaluated: u64,
     /// Evaluation errors (mis-configured subscriptions referencing
-    /// unbound entities); the offending instance is skipped.
+    /// unbound entities), counted per eligible listed member like
+    /// [`ShardMetrics::evaluated`]; the offending instance is skipped.
     pub eval_errors: u64,
-    /// Subscribers skipped before evaluation because a row's hit list
-    /// named their plan, which passed its event, layer and region
-    /// filters, but not their scope slot: the worker-side half of scope
-    /// pruning (the router-side half is
-    /// [`RouterMetrics::precision_skipped`]). Which side of the BVH
-    /// threshold routed the row does not change the count.
+    /// Eligible subscribers skipped before evaluation because a row's
+    /// hit list named their plan, which passed its event, layer and
+    /// region filters, but not their scope slot: the worker-side half of
+    /// scope pruning (the router-side half is
+    /// [`RouterMetrics::precision_skipped`]). Counted per member like
+    /// [`ShardMetrics::evaluated`], from the unlisted slot groups'
+    /// eligible prefixes, without visiting a member. Which side of the
+    /// BVH threshold routed the row does not change the count.
     pub scope_skipped: u64,
     /// Notifications delivered to sinks.
     pub notifications: u64,

@@ -13,8 +13,8 @@
 //! sustained shape, home shard) with subscriber identity (name, sink,
 //! delivered count) abstracted out — and subscriptions with equal keys
 //! share ONE detector instance in the shard worker, fanning its output
-//! out to a subscriber list. Every subscription is a plan; one that
-//! cannot share is simply a plan with one subscriber.
+//! out to the plan's members, grouped by scope slot. Every subscription
+//! is a plan; one that cannot share is simply a plan with one member.
 //!
 //! What does *not* dedupe, and why:
 //!
@@ -33,12 +33,12 @@
 //!   and is re-applied per subscriber at fan-out as a scope slot.
 //!
 //! Sharing is correctness-preserving: a plan's home shard is computed
-//! from the subscription alone before the key is looked up, evaluation
-//! outputs are memoized per instance and fanned out in subscriber
-//! registration order, and per-subscriber scope gates reproduce each
-//! subscription's own prune decisions — so every subscriber receives
-//! exactly what it would receive registered alone (content, order, and
-//! `Notification::shard`).
+//! from the subscription alone before the key is looked up, each plan
+//! is evaluated once per instance and its output fanned out in
+//! subscriber registration order, and per-slot scope gates reproduce
+//! each subscription's own prune decisions — so every subscriber
+//! receives exactly what it would receive registered alone (content,
+//! order, and `Notification::shard`).
 
 use crate::config::ShardId;
 use crate::subscription::{Subscription, SubscriptionId};

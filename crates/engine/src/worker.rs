@@ -10,6 +10,7 @@ use crate::subscription::{
 };
 use crate::trace::WorkerTrace;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 use stem_cep::{CompositeDetector, ReorderBuffer, SustainedDetector, SustainedEvent};
@@ -21,7 +22,7 @@ use stem_core::{
 };
 use stem_obs::{ObsRegistry, Recorder, Stage, TraceConstituent, TraceRecord};
 use stem_snap::ShardSnapshot;
-use stem_spatial::SpatialExtent;
+use stem_spatial::{Point, SpatialExtent};
 use stem_temporal::{Duration, TimePoint};
 use stem_wal::{ShardWal, WalRecord};
 
@@ -66,16 +67,34 @@ const SNAPSHOT_RETAIN: usize = 2;
 pub(crate) enum ShardMessage {
     /// Instances plus the router's watermark heartbeat.
     Batch(Batch),
-    /// A subscription homed on this shard, compiled as a plan with one
-    /// subscriber (boxed: it is much larger than the other variants).
+    /// A subscription that opens a new plan on this shard, compiled as a
+    /// plan with one member at scope slot 0 (boxed: it is much larger
+    /// than the other variants).
     Subscribe(Box<PlanState>),
+    /// A subscription that joins a resident plan: only its member record
+    /// travels, into the group of its scope slot.
+    Join {
+        /// The resident plan joined.
+        plan: PlanId,
+        /// The joiner's scope slot in the plan's router interest.
+        slot: u32,
+        /// The joiner's record.
+        member: Member,
+    },
     /// Retire a subscription.
-    Unsubscribe(SubscriptionId),
+    Unsubscribe {
+        /// The subscription to retire.
+        id: SubscriptionId,
+        /// The plan it rides.
+        plan: PlanId,
+    },
     /// Silence heartbeat for one sustained subscription: feed its
     /// inactive sample if no input arrived for its configured timeout.
     SilenceProbe {
         /// The sustained subscription to probe.
         id: SubscriptionId,
+        /// The plan it rides.
+        plan: PlanId,
         /// The probe's observer-local time.
         at: TimePoint,
         /// The probe's global ingest sequence number.
@@ -176,29 +195,44 @@ enum EvalKind {
 }
 
 /// One subscriber of a shared plan: everything that stays per-identity
-/// after the template is deduplicated — who to tell, where their scope
-/// gate sits, and how much they have already been told.
-struct Subscriber {
+/// after the template is deduplicated — who to tell, from which ingest
+/// sequence on, and how much they have already been told. Where the
+/// subscriber's scope gate sits is not stored: the member lives in the
+/// group of its scope slot ([`PlanState::groups`]).
+pub(crate) struct Member {
     id: SubscriptionId,
-    /// The slot of the subscriber's routing scope in the plan's router
-    /// interest: a row reaches the subscriber only when its hits name
-    /// this slot (stateful plans key on the scope, so their subscribers
-    /// share one slot and the detector's input is gated identically).
-    slot: u32,
-    /// The first ingest sequence the subscriber observes.
+    /// The first ingest sequence the subscriber observes. Never
+    /// decreases as the id grows, so the members of a group eligible
+    /// for a row are a prefix of it.
     since: u64,
-    sink: Box<dyn EventSink>,
     /// Notifications delivered to this subscriber's sink so far
     /// (persisted per subscriber in checkpoint snapshots as the count a
     /// resumed run will not re-deliver).
     delivered: u64,
+    sink: Box<dyn EventSink>,
+}
+
+// The per-tenant record: 100k tenants cost 40 bytes each here.
+const _: () = assert!(std::mem::size_of::<Member>() <= 40);
+
+impl Member {
+    /// A subscriber that observes instances with ingest sequence `since`
+    /// and later.
+    pub(crate) fn new(id: SubscriptionId, since: u64, sink: Box<dyn EventSink>) -> Self {
+        Member {
+            id,
+            since,
+            delivered: 0,
+            sink,
+        }
+    }
 }
 
 /// One shared detector plan resident on a shard: the template filters
-/// and detector state, evaluated once per instance, plus the subscriber
-/// list its output fans out to. A subscription travels to its home
-/// shard as a plan with one subscriber, which joins the resident plan
-/// of the same id if there is one.
+/// and detector state, evaluated once per instance, plus the members
+/// its output fans out to. A subscription that opens a plan travels to
+/// its home shard as a plan with one member; later subscribers of the
+/// plan travel as a [`ShardMessage::Join`].
 pub(crate) struct PlanState {
     /// Assigned by the engine's canonicalizer (a non-shareable
     /// subscription gets a plan of its own).
@@ -214,20 +248,20 @@ pub(crate) struct PlanState {
     /// instance).
     entities: Vec<EntityName>,
     kind: EvalKind,
-    subscribers: Vec<Subscriber>,
+    /// The members, grouped by the slot of their routing scope in the
+    /// plan's router interest (indexed by slot), each group in id
+    /// order. A row reaches a group only when its hits name the slot
+    /// (stateful plans key on the scope, so their members share slot 0
+    /// and the detector's input is gated identically). A group whose
+    /// members all left stays, empty, so slots keep their index.
+    groups: Vec<Vec<Member>>,
 }
 
 impl PlanState {
-    /// Compiles `sub` for residence on its home shard: it rides `plan`,
-    /// its routing scope sits at `slot` of the plan's interest, and it
-    /// observes instances with ingest sequence `since` and later.
-    pub(crate) fn compile(
-        id: SubscriptionId,
-        plan: PlanId,
-        slot: u32,
-        since: u64,
-        sub: Subscription,
-    ) -> Self {
+    /// Compiles `sub` for residence on its home shard as the first
+    /// member of `plan`, at scope slot 0, observing instances with
+    /// ingest sequence `since` and later.
+    pub(crate) fn compile(id: SubscriptionId, plan: PlanId, since: u64, sub: Subscription) -> Self {
         let (kind, condition) = if let Some(spec) = sub.pattern {
             // The definition override carries the registrant's estimation
             // policies and projections; without one, the composite
@@ -280,23 +314,133 @@ impl PlanState {
             condition,
             entities,
             kind,
-            subscribers: vec![Subscriber {
-                id,
-                slot,
-                since,
-                sink: sub.sink,
-                delivered: 0,
-            }],
+            // Exactly sized: most plans keep their one subscriber.
+            groups: vec![vec![Member::new(id, since, sub.sink)]],
+        }
+    }
+
+    /// Adds `member` to the group of scope slot `slot`. Subscription ids
+    /// ascend and `since` never decreases in registration order, so the
+    /// group stays in id order and its eligible members a prefix.
+    fn join(&mut self, slot: u32, member: Member) {
+        let slot = slot as usize;
+        if self.groups.len() <= slot {
+            self.groups.resize_with(slot + 1, Vec::new);
+        }
+        let group = &mut self.groups[slot];
+        debug_assert!(
+            group
+                .last()
+                .is_none_or(|m| m.id < member.id && m.since <= member.since),
+            "a group's ids ascend and its `since` never decreases"
+        );
+        group.push(member);
+    }
+
+    /// Removes the member `id`; `false` if it does not ride this plan.
+    fn leave(&mut self, id: SubscriptionId) -> bool {
+        let Some((slot, pos)) = locate(&self.groups, id) else {
+            return false;
+        };
+        self.groups[slot].remove(pos);
+        true
+    }
+
+    /// Members across every group.
+    fn members(&self) -> usize {
+        self.groups.iter().map(Vec::len).sum()
+    }
+}
+
+/// How many members of `group` observe the operation with ingest
+/// sequence `seq`: a prefix, since `since` never decreases within a
+/// group (all of it once the newest member is eligible).
+fn eligible(group: &[Member], seq: u64) -> usize {
+    if group.last().is_none_or(|m| m.since <= seq) {
+        group.len()
+    } else {
+        group.partition_point(|m| m.since <= seq)
+    }
+}
+
+/// Where the member `id` sits among a plan's slot groups, as `(slot,
+/// position)`: a binary search in each id-ordered group.
+fn locate(groups: &[Vec<Member>], id: SubscriptionId) -> Option<(usize, usize)> {
+    groups.iter().enumerate().find_map(|(slot, group)| {
+        let pos = group.binary_search_by_key(&id, |m| m.id).ok()?;
+        Some((slot, pos))
+    })
+}
+
+/// One fan-out source: the members `pos..end` of the group of scope
+/// slot `slot` of the plan at index `plan`, all owed the caller's
+/// `source`-th outcome.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    source: u32,
+    plan: u32,
+    slot: u32,
+    pos: u32,
+    end: u32,
+}
+
+/// Appends one cursor per non-empty group of the plan at index `plan`,
+/// covering every member, owed outcome `source`.
+fn plan_cursors(plans: &[PlanState], plan: usize, source: u32, out: &mut Vec<Cursor>) {
+    for (slot, group) in plans[plan].groups.iter().enumerate() {
+        if !group.is_empty() {
+            out.push(Cursor {
+                source,
+                plan: plan as u32,
+                slot: slot as u32,
+                pos: 0,
+                end: group.len() as u32,
+            });
         }
     }
 }
 
-/// The memoized result of evaluating one plan against one instance:
-/// computed at the first matched subscriber, fanned out to the rest.
-/// Owned data only — fan-out re-borrows the plan for its subscriber
-/// rows after evaluation releases the detector.
+/// Pops the member with the smallest subscription id across `cursors`:
+/// a k-way merge of id-ordered groups, which yields exactly the global
+/// registration order one detector per subscription delivered in. A
+/// single cursor is walked without comparing ids.
+fn next_member(plans: &[PlanState], cursors: &mut Vec<Cursor>) -> Option<Cursor> {
+    let k = match cursors.len() {
+        0 => return None,
+        1 => 0,
+        n => (0..n)
+            .min_by_key(|&k| {
+                let c = cursors[k];
+                plans[c.plan as usize].groups[c.slot as usize][c.pos as usize].id
+            })
+            .expect("n > 1"),
+    };
+    let c = cursors[k];
+    if c.pos + 1 == c.end {
+        cursors.swap_remove(k);
+    } else {
+        cursors[k].pos += 1;
+    }
+    Some(c)
+}
+
+/// A plan the row's hits list, that passed its filters and has members
+/// to evaluate for: `hits` is its range of the row's hit list, `listed`
+/// the eligible members of the listed groups, and `outcome` what its
+/// one evaluation produced.
+struct Listed {
+    plan: u32,
+    hits: Range<usize>,
+    listed: u64,
+    outcome: Option<PlanOutcome>,
+}
+
+/// The result of evaluating one plan against one instance, computed
+/// once and fanned out to every eligible listed member. Owned data
+/// only — fan-out re-borrows the plan for its members after evaluation
+/// releases the detector.
 enum PlanOutcome {
-    /// Evaluation errored (counted once per subscriber).
+    /// Evaluation errored (counted once per eligible listed member).
     Error,
     /// A plain condition that held: deliver the instance.
     PlainPass,
@@ -308,6 +452,17 @@ enum PlanOutcome {
     /// A sustained detector's episode event (if the sample closed one),
     /// with the episode's remembered constituents.
     Sustained(Option<(SustainedEvent, Vec<Constituent>)>),
+}
+
+impl PlanOutcome {
+    /// Whether every member owed this outcome gets a notification.
+    fn delivers(&self) -> bool {
+        match self {
+            PlanOutcome::Error | PlanOutcome::PlainFail | PlanOutcome::Sustained(None) => false,
+            PlanOutcome::PlainPass | PlanOutcome::Sustained(Some(_)) => true,
+            PlanOutcome::Derived(items) => !items.is_empty(),
+        }
+    }
 }
 
 /// Evaluates a per-instance condition with every entity bound to the
@@ -364,6 +519,10 @@ enum StreamItem {
     /// samples are still held behind the watermark slack.
     Probe {
         id: SubscriptionId,
+        /// The plan the probed subscription rides, as the live message
+        /// named it; `None` for a probe replayed from the log or restored
+        /// from a snapshot (neither stores it), resolved at release.
+        plan: Option<PlanId>,
         at: TimePoint,
         /// The probe's global ingest sequence (its trace identity).
         seq: u64,
@@ -393,7 +552,7 @@ fn encode_stream_item(item: &StreamItem, buf: &mut Vec<u8>) {
             // bit-identically), keeping the format stable.
             codec::encode_instance(&row.chunk.rows.materialize(row.index as usize), buf);
         }
-        StreamItem::Probe { id, at, seq } => {
+        StreamItem::Probe { id, at, seq, .. } => {
             codec::put_u8(buf, ITEM_TAG_PROBE);
             codec::put_u64(buf, id.raw());
             codec::encode_time_point(*at, buf);
@@ -424,7 +583,12 @@ fn decode_stream_item(bytes: &mut &[u8]) -> CodecResult<HeldItem> {
             let id = SubscriptionId(codec::get_u64(bytes)?);
             let at = codec::decode_time_point(bytes)?;
             let seq = codec::get_u64(bytes)?;
-            Ok(HeldItem::Probe(StreamItem::Probe { id, at, seq }))
+            Ok(HeldItem::Probe(StreamItem::Probe {
+                id,
+                plan: None,
+                at,
+                seq,
+            }))
         }
         tag => Err(CodecError::BadTag {
             what: "StreamItem",
@@ -492,6 +656,28 @@ fn notify_provenance(
     })
 }
 
+/// Delivers one notification to `member` (with its provenance when
+/// tracing) and counts it in the member's delivered total.
+fn notify(
+    member: &mut Member,
+    shard: ShardId,
+    trace: Option<&mut WorkerTrace>,
+    kind: NotificationKind,
+    constituents: &[Constituent],
+    meta: ItemMeta,
+    evaluate: u64,
+) {
+    let provenance = trace
+        .map(|wt| notify_provenance(wt, shard, member.id, constituents.to_vec(), meta, evaluate));
+    member.sink.deliver(Notification {
+        subscription: member.id,
+        shard,
+        kind,
+        provenance,
+    });
+    member.delivered += 1;
+}
+
 /// Records a near-miss drop verdict: remembered for the next
 /// notification's provenance, and ring-recorded when the policy samples
 /// drops.
@@ -547,12 +733,12 @@ pub(crate) struct ShardWorker {
     /// Causal tracing state (None with [`crate::TracePolicy::Off`]:
     /// same single-branch discipline as `obs`).
     trace: Option<WorkerTrace>,
-    /// Matched `(subscriber registration order, plan index, subscriber
-    /// index)` tuples for the instance being dispatched, sorted by the
-    /// first field before fan-out so the global delivery order is
-    /// exactly what per-subscription evaluation produced (reused across
+    /// The plans the row being dispatched evaluates (reused across
     /// dispatches).
-    match_scratch: Vec<(u64, u32, u32)>,
+    listed: Vec<Listed>,
+    /// The fan-out cursors of the row being dispatched (reused across
+    /// dispatches).
+    cursors: Vec<Cursor>,
 }
 
 impl ShardWorker {
@@ -583,7 +769,8 @@ impl ShardWorker {
             },
             obs,
             trace,
-            match_scratch: Vec::new(),
+            listed: Vec::new(),
+            cursors: Vec::new(),
         }
     }
 
@@ -594,7 +781,20 @@ impl ShardWorker {
 
     /// Total resident subscribers across every plan.
     fn subscriber_count(&self) -> usize {
-        self.plans.iter().map(|p| p.subscribers.len()).sum()
+        self.plans.iter().map(PlanState::members).sum()
+    }
+
+    /// `(raw id, delivered)` of every member of the plan at index
+    /// `plan`, in id order: the plan's rows in a checkpoint snapshot.
+    fn members_in_id_order(&self, plan: usize) -> Vec<(u64, u64)> {
+        let mut cursors = Vec::new();
+        plan_cursors(&self.plans, plan, 0, &mut cursors);
+        let mut rows = Vec::with_capacity(self.plans[plan].members());
+        while let Some(c) = next_member(&self.plans, &mut cursors) {
+            let m = &self.plans[plan].groups[c.slot as usize][c.pos as usize];
+            rows.push((m.id.raw(), m.delivered));
+        }
+        rows
     }
 
     /// Opens a telemetry span (None with telemetry off).
@@ -671,36 +871,33 @@ impl ShardWorker {
         }
         match message {
             ShardMessage::Batch(batch) => self.process_batch(batch),
-            ShardMessage::Subscribe(mut state) => {
-                // The first subscriber of a plan donates the template;
-                // later subscribers join its fan-out list. Plans arrive
-                // in increasing id order, so a new one goes last.
-                match self.plan_position(state.id) {
-                    Some(idx) => self.plans[idx].subscribers.append(&mut state.subscribers),
-                    None => {
-                        debug_assert!(self.plans.last().is_none_or(|p| p.id < state.id));
-                        self.plans.push(*state);
-                    }
-                }
+            ShardMessage::Subscribe(state) => {
+                // Plans open in increasing id order, so a new one goes
+                // last.
+                debug_assert!(self.plans.last().is_none_or(|p| p.id < state.id));
+                self.plans.push(*state);
             }
-            ShardMessage::Unsubscribe(id) => {
-                for i in 0..self.plans.len() {
-                    let plan = &mut self.plans[i];
-                    if let Some(pos) = plan.subscribers.iter().position(|s| s.id == id) {
-                        plan.subscribers.remove(pos);
-                        if plan.subscribers.is_empty() {
-                            self.plans.remove(i);
-                        }
-                        break;
+            ShardMessage::Join { plan, slot, member } => {
+                let idx = self
+                    .plan_position(plan)
+                    .expect("a joined plan is resident on its home shard");
+                self.plans[idx].join(slot, member);
+            }
+            ShardMessage::Unsubscribe { id, plan } => {
+                if let Some(idx) = self.plan_position(plan) {
+                    let state = &mut self.plans[idx];
+                    if state.leave(id) && state.members() == 0 {
+                        self.plans.remove(idx);
                     }
                 }
             }
             ShardMessage::SilenceProbe {
                 id,
+                plan,
                 at,
                 seq,
                 prefix_high_water,
-            } => self.queue_silence_probe(id, at, seq, prefix_high_water),
+            } => self.queue_silence_probe(id, plan, at, seq, prefix_high_water),
             ShardMessage::Recover {
                 snapshot,
                 held,
@@ -961,7 +1158,7 @@ impl ShardWorker {
                         let released = self.reorder.observe(hw);
                         self.dispatch_all(released);
                     }
-                    self.enqueue_probe(SubscriptionId(subscription), at, seq);
+                    self.enqueue_probe(SubscriptionId(subscription), None, at, seq);
                 }
                 WalRecord::Heartbeat { high_water, .. } => {
                     self.logged_high_water = Some(
@@ -1011,10 +1208,8 @@ impl ShardWorker {
             next_seq,
             high_water,
             active_segment,
-            subs_delivered: self
-                .plans
-                .iter()
-                .flat_map(|p| p.subscribers.iter().map(|s| (s.id.raw(), s.delivered)))
+            subs_delivered: (0..self.plans.len())
+                .flat_map(|idx| self.members_in_id_order(idx))
                 .collect(),
             state: self.snapshot_state(),
         };
@@ -1038,8 +1233,8 @@ impl ShardWorker {
     /// [`StateCodec`] seam: the reorder buffer (with every in-flight
     /// instance and queued silence probe), the stream bookkeeping, and
     /// the plan store — each plan's detector state written ONCE however
-    /// many subscribers share it, followed by the subscriber list's
-    /// identity rows (id + delivered count). This is the
+    /// many subscribers share it, followed by its members' identity rows
+    /// (id + delivered count) in id order across slot groups. This is the
     /// [`stem_snap::SNAPSHOT_VERSION`] 2 layout; version-1 snapshots
     /// (one detector copy per subscription) are rejected by the reader
     /// and recovery falls back to full-log replay.
@@ -1053,7 +1248,7 @@ impl ShardWorker {
             &mut buf,
             u32::try_from(self.plans.len()).unwrap_or(u32::MAX),
         );
-        for plan in &self.plans {
+        for (idx, plan) in self.plans.iter().enumerate() {
             codec::put_u64(&mut buf, plan.id.raw());
             match &plan.kind {
                 EvalKind::Plain => codec::put_u8(&mut buf, SUB_TAG_PLAIN),
@@ -1079,13 +1274,10 @@ impl ShardWorker {
                     }
                 }
             }
-            codec::put_u32(
-                &mut buf,
-                u32::try_from(plan.subscribers.len()).unwrap_or(u32::MAX),
-            );
-            for s in &plan.subscribers {
-                codec::put_u64(&mut buf, s.id.raw());
-                codec::put_u64(&mut buf, s.delivered);
+            codec::put_u32(&mut buf, u32::try_from(plan.members()).unwrap_or(u32::MAX));
+            for (id, delivered) in self.members_in_id_order(idx) {
+                codec::put_u64(&mut buf, id);
+                codec::put_u64(&mut buf, delivered);
             }
         }
         buf
@@ -1151,10 +1343,10 @@ impl ShardWorker {
             for _ in 0..m {
                 let sub = codec::get_u64(bytes)?;
                 let delivered = codec::get_u64(bytes)?;
-                let Some(row) = plan.subscribers.iter_mut().find(|s| s.id.raw() == sub) else {
+                let Some((slot, pos)) = locate(&plan.groups, SubscriptionId(sub)) else {
                     return Err(CodecError::Invalid("snapshot subscriber missing"));
                 };
-                row.delivered = delivered;
+                plan.groups[slot][pos].delivered = delivered;
             }
         }
         if !bytes.is_empty() {
@@ -1201,7 +1393,7 @@ impl ShardWorker {
                     }
                     self.dispatch(at, &row, meta);
                 }
-                StreamItem::Probe { id, at, seq } => {
+                StreamItem::Probe { id, plan, at, seq } => {
                     let mut meta = ItemMeta {
                         seq,
                         ..ItemMeta::default()
@@ -1209,7 +1401,7 @@ impl ShardWorker {
                     if self.trace.is_some() {
                         meta.release = release;
                     }
-                    self.silence_probe(id, at, meta);
+                    self.silence_probe(id, plan, at, meta);
                 }
             }
         }
@@ -1221,28 +1413,36 @@ impl ShardWorker {
     /// The router's precision pass made the row's one spatial decision:
     /// the hits name every `(plan, scope slot)` on this shard whose
     /// scope covers the location. The *filter* pass finds each listed
-    /// plan by binary search (one retired since routing is skipped),
-    /// checks its event filter, layer filter and region, then keeps each
-    /// subscriber whose slot is listed and who registered before the
-    /// row's ingest, as `(subscriber order, plan, subscriber)` tuples in
-    /// the reused scratch vector; `scope_skipped` counts the subscribers
-    /// of a passing plan whose slot is not listed. The *eval* pass runs
-    /// each matched plan's detector ONCE (memoized) and fans its output
-    /// out in global registration order, bit-identical to one detector
-    /// per subscription. Only matched rows are materialized. The split
-    /// times filtering (`scope_prune`) apart from evaluation
-    /// (`evaluate`), and the filters read no state the evaluators mutate.
+    /// plan by binary search (one retired since routing is skipped) and
+    /// checks its event filter, layer filter and region. A passing plan
+    /// is evaluated when a group of a listed slot has a member that
+    /// registered before the row's ingest. Those eligible members are a
+    /// prefix of each group, so the pass counts them, and for
+    /// `scope_skipped` the eligible members of the unlisted groups,
+    /// without visiting a member. The *eval* pass runs each such plan's
+    /// detector ONCE and adds its eligible count to `evaluated` (and to
+    /// `eval_errors` on an error). Only an outcome that notifies fans
+    /// out, as a k-way merge of the eligible prefixes by subscription id
+    /// ([`next_member`]): deliveries interleave across plans and slots
+    /// in global registration order, bit-identical to one detector per
+    /// subscription. Only rows some plan evaluates are materialized. The
+    /// split times filtering (`scope_prune`) apart from evaluation and
+    /// fan-out (`evaluate`), and the filters read no state the
+    /// evaluators mutate.
     fn dispatch(&mut self, at: TimePoint, row: &RowRef, meta: ItemMeta) {
         let (rows, i) = (&row.chunk.rows, row.index as usize);
         let location = rows.representative(i);
         let layer = rows.layer(i);
         let event = rows.event(i);
         let shard = self.shard;
-        let mut matched = std::mem::take(&mut self.match_scratch);
-        matched.clear();
+        let hits = row.hits();
+        let mut listed = std::mem::take(&mut self.listed);
         let prune_token = self.obs_start();
         let mut scope_pruned = false;
-        for plan_hits in row.hits().chunk_by(|a, b| a.plan == b.plan) {
+        let mut start = 0;
+        for plan_hits in hits.chunk_by(|a, b| a.plan == b.plan) {
+            let range = start..start + plan_hits.len();
+            start = range.end;
             let Some(idx) = self.plan_position(plan_hits[0].plan) else {
                 continue;
             };
@@ -1253,219 +1453,228 @@ impl ShardWorker {
             if !plan_passes {
                 continue;
             }
-            for (member, sub) in plan.subscribers.iter().enumerate() {
-                if meta.seq < sub.since {
-                    continue;
-                }
-                if !plan_hits.iter().any(|h| h.slot == sub.slot) {
-                    self.metrics.scope_skipped += 1;
-                    scope_pruned = true;
-                    continue;
-                }
-                matched.push((sub.id.raw(), idx as u32, member as u32));
+            let in_listed: usize = plan_hits
+                .iter()
+                .filter_map(|h| plan.groups.get(h.slot as usize))
+                .map(|group| eligible(group, meta.seq))
+                .sum();
+            let eligible: usize = plan.groups.iter().map(|g| eligible(g, meta.seq)).sum();
+            if eligible > in_listed {
+                self.metrics.scope_skipped += (eligible - in_listed) as u64;
+                scope_pruned = true;
+            }
+            if in_listed > 0 {
+                listed.push(Listed {
+                    plan: idx as u32,
+                    hits: range,
+                    listed: in_listed as u64,
+                    outcome: None,
+                });
             }
         }
-        // Global registration order: the fan-out below must deliver in
-        // exactly the order one-detector-per-subscription dispatch did,
-        // however subscribers interleave across plans.
-        matched.sort_unstable();
         self.obs_acc(Stage::ScopePrune, prune_token);
         // A scope-prune verdict is only a *near miss* when nothing else
         // matched the instance — an instance one subscription pruned
         // but another evaluated did contribute, and is no drop.
-        if scope_pruned && matched.is_empty() {
+        if scope_pruned && listed.is_empty() {
             if let Some(wt) = self.trace.as_mut() {
                 note_drop(wt, self.shard, TraceId(meta.seq), DropVerdict::ScopePruned);
             }
         }
         let eval_token = self.obs_start();
-        if matched.is_empty() {
+        if listed.is_empty() {
             // On dense streams most operations match no subscription:
             // they never materialize and skip the evaluate clock read.
             self.obs_acc(Stage::Evaluate, eval_token);
-            self.match_scratch = matched;
+            self.listed = listed;
             return;
         }
         // One evaluate stamp per matched released operation, taken
         // before the detectors run (every notification this dispatch
         // produces shares it; their notify stamps then order them).
         let evaluate = self.trace.as_ref().map_or(0, |wt| wt.clock.now());
-        // One materialization per matched row, shared by every matched
-        // plan.
+        // One materialization per matched row, shared by every plan.
         let instance = &rows.materialize(i);
         let shard32 = u32::try_from(shard).unwrap_or(u32::MAX);
-        // Each plan evaluates once per dispatch, at its first matched
-        // subscriber; the memo serves the rest. Matched plans per
-        // instance are few, so a linear-scanned pair list beats a map.
-        let mut memo: Vec<(u32, PlanOutcome)> = Vec::new();
-        for &(_, plan_pos, member) in &matched {
-            let plan_idx = plan_pos as usize;
-            let outcome = match memo.iter().position(|(p, _)| *p == plan_pos) {
-                Some(m) => &memo[m].1,
-                None => {
-                    let plan = &mut self.plans[plan_idx];
-                    let outcome = match &mut plan.kind {
-                        EvalKind::Plain => {
-                            match eval_condition(&plan.condition, &plan.entities, instance) {
-                                Some(true) => PlanOutcome::PlainPass,
-                                Some(false) => PlanOutcome::PlainFail,
-                                None => PlanOutcome::Error,
-                            }
-                        }
-                        EvalKind::Pattern(detector) => {
-                            // The trace tag threads through the pattern
-                            // store so each completed match comes back
-                            // with the ingest sequences of every
-                            // constituent it bound.
-                            match detector.process_traced_at(instance, at, meta.seq) {
-                                Ok(derived) => PlanOutcome::Derived(
-                                    derived
-                                        .into_iter()
-                                        .map(|(d, tags)| {
-                                            let constituents = tags
-                                                .iter()
-                                                .map(|&(tag, seq)| Constituent {
-                                                    trace: TraceId(tag),
-                                                    shard: shard32,
-                                                    seq,
-                                                })
-                                                .collect();
-                                            (d, constituents)
-                                        })
-                                        .collect(),
-                                ),
-                                Err(_) => PlanOutcome::Error,
-                            }
-                        }
-                        EvalKind::Sustained(state) => {
-                            let episode = match &state.value {
-                                SustainedValue::Attribute(attr) => {
-                                    match instance.attributes().get_f64(attr) {
-                                        Some(value) => {
-                                            state.last_input = Some(at);
-                                            let v = if state.negate { -value } else { value };
-                                            Some(state.detector.update_value(at, v))
-                                        }
-                                        None => None,
-                                    }
-                                }
-                                SustainedValue::DistanceTo(reference) => {
-                                    state.last_input = Some(at);
-                                    let d = location.distance(*reference);
-                                    let v = if state.negate { -d } else { d };
-                                    Some(state.detector.update_value(at, v))
-                                }
-                                SustainedValue::Condition => {
-                                    match eval_condition(&plan.condition, &plan.entities, instance)
-                                    {
-                                        Some(holds) => {
-                                            state.last_input = Some(at);
-                                            Some(state.detector.update(at, holds))
-                                        }
-                                        None => None,
-                                    }
-                                }
-                            };
-                            match episode {
-                                None => PlanOutcome::Error,
-                                Some(event) => {
-                                    if self.trace.is_some() {
-                                        // Every accepted sample (the
-                                        // arms above all set
-                                        // `last_input`) joins the
-                                        // episode's bounded constituent
-                                        // memory.
-                                        state.push_constituent(Constituent {
-                                            trace: TraceId(meta.seq),
-                                            shard: shard32,
-                                            seq: instance.seq().raw(),
-                                        });
-                                    }
-                                    PlanOutcome::Sustained(
-                                        event.map(|e| {
-                                            (e, state.constituents.iter().copied().collect())
-                                        }),
-                                    )
-                                }
-                            }
-                        }
+        let mut cursors = std::mem::take(&mut self.cursors);
+        for (source, entry) in listed.iter_mut().enumerate() {
+            let idx = entry.plan as usize;
+            let outcome = self.evaluate_plan(idx, instance, at, location, meta);
+            // Counters stay per subscriber: one evaluation (and error)
+            // per eligible listed member, as the DES reference counts
+            // them.
+            self.metrics.evaluated += entry.listed;
+            if matches!(outcome, PlanOutcome::Error) {
+                self.metrics.eval_errors += entry.listed;
+            }
+            if outcome.delivers() {
+                let plan = &self.plans[idx];
+                for h in &hits[entry.hits.clone()] {
+                    let Some(group) = plan.groups.get(h.slot as usize) else {
+                        continue;
                     };
-                    memo.push((plan_pos, outcome));
-                    &memo.last().expect("just pushed").1
-                }
-            };
-            // Fan-out: re-attach this subscriber's identity (its own
-            // subscription id, delivered count, provenance records) to
-            // the memoized template output. Counters stay
-            // per-subscriber: one evaluation (and error) per
-            // subscription, as the DES reference counts them.
-            self.metrics.evaluated += 1;
-            match outcome {
-                PlanOutcome::Error => self.metrics.eval_errors += 1,
-                PlanOutcome::PlainFail | PlanOutcome::Sustained(None) => {}
-                PlanOutcome::PlainPass => {
-                    let sub = &mut self.plans[plan_idx].subscribers[member as usize];
-                    let provenance = self.trace.as_mut().map(|wt| {
-                        let c = Constituent {
-                            trace: TraceId(meta.seq),
-                            shard: shard32,
-                            seq: instance.seq().raw(),
-                        };
-                        notify_provenance(wt, shard, sub.id, vec![c], meta, evaluate)
-                    });
-                    sub.sink.deliver(Notification {
-                        subscription: sub.id,
-                        shard,
-                        kind: NotificationKind::Match(instance.clone()),
-                        provenance,
-                    });
-                    self.metrics.notifications += 1;
-                    sub.delivered += 1;
-                }
-                PlanOutcome::Derived(items) => {
-                    for (d, constituents) in items {
-                        let sub = &mut self.plans[plan_idx].subscribers[member as usize];
-                        self.metrics.derived += 1;
-                        self.metrics.notifications += 1;
-                        sub.delivered += 1;
-                        let provenance = self.trace.as_mut().map(|wt| {
-                            notify_provenance(
-                                wt,
-                                shard,
-                                sub.id,
-                                constituents.clone(),
-                                meta,
-                                evaluate,
-                            )
-                        });
-                        sub.sink.deliver(Notification {
-                            subscription: sub.id,
-                            shard,
-                            kind: NotificationKind::Derived(d.clone()),
-                            provenance,
+                    let end = eligible(group, meta.seq);
+                    if end > 0 {
+                        cursors.push(Cursor {
+                            source: source as u32,
+                            plan: entry.plan,
+                            slot: h.slot,
+                            pos: 0,
+                            end: end as u32,
                         });
                     }
                 }
-                PlanOutcome::Sustained(Some((event, constituents))) => {
-                    let sub = &mut self.plans[plan_idx].subscribers[member as usize];
+            }
+            entry.outcome = Some(outcome);
+        }
+        // Fan-out: re-attach each member's identity (its subscription
+        // id, delivered count, provenance record) to its plan's output.
+        while let Some(c) = next_member(&self.plans, &mut cursors) {
+            let member = &mut self.plans[c.plan as usize].groups[c.slot as usize][c.pos as usize];
+            match &listed[c.source as usize].outcome {
+                Some(PlanOutcome::PlainPass) => {
+                    let constituent = Constituent {
+                        trace: TraceId(meta.seq),
+                        shard: shard32,
+                        seq: instance.seq().raw(),
+                    };
                     self.metrics.notifications += 1;
-                    sub.delivered += 1;
-                    let event = *event;
-                    let provenance = self.trace.as_mut().map(|wt| {
-                        notify_provenance(wt, shard, sub.id, constituents.clone(), meta, evaluate)
-                    });
-                    sub.sink.deliver(Notification {
-                        subscription: sub.id,
+                    notify(
+                        member,
                         shard,
-                        kind: NotificationKind::Sustained(event),
-                        provenance,
-                    });
+                        self.trace.as_mut(),
+                        NotificationKind::Match(instance.clone()),
+                        &[constituent],
+                        meta,
+                        evaluate,
+                    );
                 }
+                Some(PlanOutcome::Derived(items)) => {
+                    for (d, constituents) in items {
+                        self.metrics.derived += 1;
+                        self.metrics.notifications += 1;
+                        notify(
+                            member,
+                            shard,
+                            self.trace.as_mut(),
+                            NotificationKind::Derived(d.clone()),
+                            constituents,
+                            meta,
+                            evaluate,
+                        );
+                    }
+                }
+                Some(PlanOutcome::Sustained(Some((event, constituents)))) => {
+                    self.metrics.notifications += 1;
+                    notify(
+                        member,
+                        shard,
+                        self.trace.as_mut(),
+                        NotificationKind::Sustained(*event),
+                        constituents,
+                        meta,
+                        evaluate,
+                    );
+                }
+                // No cursor is made for an outcome that notifies nobody.
+                _ => {}
             }
         }
         self.obs_acc(Stage::Evaluate, eval_token);
-        matched.clear();
-        self.match_scratch = matched;
+        listed.clear();
+        self.listed = listed;
+        self.cursors = cursors;
+    }
+
+    /// Runs the plan at index `idx` once over `instance`, at its
+    /// observer-local time `at`.
+    fn evaluate_plan(
+        &mut self,
+        idx: usize,
+        instance: &EventInstance,
+        at: TimePoint,
+        location: Point,
+        meta: ItemMeta,
+    ) -> PlanOutcome {
+        let shard32 = u32::try_from(self.shard).unwrap_or(u32::MAX);
+        let tracing = self.trace.is_some();
+        let plan = &mut self.plans[idx];
+        match &mut plan.kind {
+            EvalKind::Plain => match eval_condition(&plan.condition, &plan.entities, instance) {
+                Some(true) => PlanOutcome::PlainPass,
+                Some(false) => PlanOutcome::PlainFail,
+                None => PlanOutcome::Error,
+            },
+            EvalKind::Pattern(detector) => {
+                // The trace tag threads through the pattern store so
+                // each completed match comes back with the ingest
+                // sequences of every constituent it bound.
+                match detector.process_traced_at(instance, at, meta.seq) {
+                    Ok(derived) => PlanOutcome::Derived(
+                        derived
+                            .into_iter()
+                            .map(|(d, tags)| {
+                                let constituents = tags
+                                    .iter()
+                                    .map(|&(tag, seq)| Constituent {
+                                        trace: TraceId(tag),
+                                        shard: shard32,
+                                        seq,
+                                    })
+                                    .collect();
+                                (d, constituents)
+                            })
+                            .collect(),
+                    ),
+                    Err(_) => PlanOutcome::Error,
+                }
+            }
+            EvalKind::Sustained(state) => {
+                let episode = match &state.value {
+                    SustainedValue::Attribute(attr) => match instance.attributes().get_f64(attr) {
+                        Some(value) => {
+                            state.last_input = Some(at);
+                            let v = if state.negate { -value } else { value };
+                            Some(state.detector.update_value(at, v))
+                        }
+                        None => None,
+                    },
+                    SustainedValue::DistanceTo(reference) => {
+                        state.last_input = Some(at);
+                        let d = location.distance(*reference);
+                        let v = if state.negate { -d } else { d };
+                        Some(state.detector.update_value(at, v))
+                    }
+                    SustainedValue::Condition => {
+                        match eval_condition(&plan.condition, &plan.entities, instance) {
+                            Some(holds) => {
+                                state.last_input = Some(at);
+                                Some(state.detector.update(at, holds))
+                            }
+                            None => None,
+                        }
+                    }
+                };
+                match episode {
+                    None => PlanOutcome::Error,
+                    Some(event) => {
+                        if tracing {
+                            // Every accepted sample (the arms above all
+                            // set `last_input`) joins the episode's
+                            // bounded constituent memory.
+                            state.push_constituent(Constituent {
+                                trace: TraceId(meta.seq),
+                                shard: shard32,
+                                seq: instance.seq().raw(),
+                            });
+                        }
+                        PlanOutcome::Sustained(
+                            event.map(|e| (e, state.constituents.iter().copied().collect())),
+                        )
+                    }
+                }
+            }
+        }
     }
 
     /// Accepts a live silence probe: logs it write-ahead, then enqueues
@@ -1480,6 +1689,7 @@ impl ShardWorker {
     fn queue_silence_probe(
         &mut self,
         id: SubscriptionId,
+        plan: PlanId,
         at: TimePoint,
         seq: u64,
         prefix_high_water: Option<TimePoint>,
@@ -1503,14 +1713,14 @@ impl ShardWorker {
             let released = self.reorder.observe(hw);
             self.dispatch_all(released);
         }
-        self.enqueue_probe(id, at, seq);
+        self.enqueue_probe(id, Some(plan), at, seq);
     }
 
     /// Enqueues a silence probe into the reorder buffer so it reaches
     /// the sustained detector in stream order. Probes already behind
     /// the watermark are stale — the stream has moved past them — and
     /// are discarded (with a `Late` verdict when tracing).
-    fn enqueue_probe(&mut self, id: SubscriptionId, at: TimePoint, seq: u64) {
+    fn enqueue_probe(&mut self, id: SubscriptionId, plan: Option<PlanId>, at: TimePoint, seq: u64) {
         if self.reorder.watermark().is_some_and(|w| at < w) {
             if let Some(wt) = self.trace.as_mut() {
                 note_drop(wt, self.shard, TraceId(seq), DropVerdict::Late);
@@ -1518,7 +1728,8 @@ impl ShardWorker {
             return;
         }
         self.probes += 1;
-        let released = self.reorder.push_at(at, StreamItem::Probe { id, at, seq });
+        let probe = StreamItem::Probe { id, plan, at, seq };
+        let released = self.reorder.push_at(at, probe);
         self.dispatch_all(released);
     }
 
@@ -1528,24 +1739,36 @@ impl ShardWorker {
     /// Probes are addressed per subscription id; silence-policied
     /// sustained plans never share (the canonicalizer keys them by
     /// subscription), so the addressed subscriber is the plan's only
-    /// one — but the fan-out still resolves the row by id rather than
-    /// assuming it.
-    fn silence_probe(&mut self, id: SubscriptionId, at: TimePoint, meta: ItemMeta) {
+    /// one — but the fan-out still resolves the member by id rather
+    /// than assuming it. A probe that left since it was sent (or whose
+    /// plan retired) finds no member and does nothing.
+    fn silence_probe(
+        &mut self,
+        id: SubscriptionId,
+        plan: Option<PlanId>,
+        at: TimePoint,
+        meta: ItemMeta,
+    ) {
         let shard = self.shard;
-        let Some(plan) = self
-            .plans
-            .iter_mut()
-            .find(|p| p.subscribers.iter().any(|s| s.id == id))
-        else {
+        let idx = match plan {
+            Some(plan) => self.plan_position(plan),
+            // A replayed or restored probe does not name its plan.
+            None => self
+                .plans
+                .iter()
+                .position(|p| locate(&p.groups, id).is_some()),
+        };
+        let Some(idx) = idx else {
             return;
         };
-        let PlanState {
-            kind, subscribers, ..
-        } = plan;
+        let PlanState { kind, groups, .. } = &mut self.plans[idx];
         let EvalKind::Sustained(state) = kind else {
             return;
         };
         let Some(silence) = &state.silence else {
+            return;
+        };
+        let Some((slot, pos)) = locate(groups, id) else {
             return;
         };
         let stale = state
@@ -1565,22 +1788,16 @@ impl ShardWorker {
                 shard: u32::try_from(shard).unwrap_or(u32::MAX),
                 seq: meta.seq,
             });
-            let sub = subscribers
-                .iter_mut()
-                .find(|s| s.id == id)
-                .expect("probe matched this plan by subscriber id");
             self.metrics.notifications += 1;
-            sub.delivered += 1;
-            let provenance = self
-                .trace
-                .as_mut()
-                .map(|wt| notify_provenance(wt, shard, sub.id, constituents, meta, evaluate));
-            sub.sink.deliver(Notification {
-                subscription: sub.id,
+            notify(
+                &mut groups[slot][pos],
                 shard,
-                kind: NotificationKind::Sustained(event),
-                provenance,
-            });
+                self.trace.as_mut(),
+                NotificationKind::Sustained(event),
+                &constituents,
+                meta,
+                evaluate,
+            );
         }
     }
 
@@ -1588,52 +1805,39 @@ impl ShardWorker {
     /// open sustained episodes at `at`.
     ///
     /// Each sustained plan's detector closes ONCE; the resulting event
-    /// fans out to its subscribers, interleaved across plans in global
+    /// fans out to its members, merged across plans in global
     /// registration order — the order one-detector-per-subscription
     /// finalization delivered in.
     fn finalize(&mut self, at: TimePoint) {
         let remaining = self.reorder.flush();
         self.dispatch_all(remaining);
         let shard = self.shard;
-        let mut closed: Vec<(usize, SustainedEvent, Vec<Constituent>)> = Vec::new();
-        for (idx, plan) in self.plans.iter_mut().enumerate() {
-            if let EvalKind::Sustained(state) = &mut plan.kind {
+        let mut closed: Vec<(SustainedEvent, Vec<Constituent>)> = Vec::new();
+        let mut cursors = Vec::new();
+        for idx in 0..self.plans.len() {
+            if let EvalKind::Sustained(state) = &mut self.plans[idx].kind {
                 if let Some(event) = state.detector.finish(at) {
-                    closed.push((idx, event, state.constituents.iter().copied().collect()));
+                    let source = closed.len() as u32;
+                    closed.push((event, state.constituents.iter().copied().collect()));
+                    plan_cursors(&self.plans, idx, source, &mut cursors);
                 }
             }
         }
-        let mut deliveries: Vec<(u64, usize, usize)> = Vec::new();
-        for (ci, (plan_idx, _, _)) in closed.iter().enumerate() {
-            for (member, sub) in self.plans[*plan_idx].subscribers.iter().enumerate() {
-                deliveries.push((sub.id.raw(), ci, member));
-            }
-        }
-        deliveries.sort_unstable();
-        for (_, ci, member) in deliveries {
-            let (plan_idx, event, constituents) = &closed[ci];
+        while let Some(c) = next_member(&self.plans, &mut cursors) {
+            let (event, constituents) = &closed[c.source as usize];
             let evaluate = self.trace.as_ref().map_or(0, |wt| wt.clock.now());
-            let sub = &mut self.plans[*plan_idx].subscribers[member];
             self.metrics.notifications += 1;
-            sub.delivered += 1;
-            let provenance = self.trace.as_mut().map(|wt| {
-                // The horizon is an engine-driven close, not an
-                // operation: its pre-evaluate stamps are zero.
-                notify_provenance(
-                    wt,
-                    shard,
-                    sub.id,
-                    constituents.clone(),
-                    ItemMeta::default(),
-                    evaluate,
-                )
-            });
-            sub.sink.deliver(Notification {
-                subscription: sub.id,
+            // The horizon is an engine-driven close, not an operation:
+            // its pre-evaluate stamps are zero.
+            notify(
+                &mut self.plans[c.plan as usize].groups[c.slot as usize][c.pos as usize],
                 shard,
-                kind: NotificationKind::Sustained(*event),
-                provenance,
-            });
+                self.trace.as_mut(),
+                NotificationKind::Sustained(*event),
+                constituents,
+                ItemMeta::default(),
+                evaluate,
+            );
         }
     }
 
@@ -1745,7 +1949,6 @@ mod tests {
             SubscriptionId(0),
             PlanId(0),
             0,
-            0,
             sub,
         ))));
         worker
@@ -1776,6 +1979,7 @@ mod tests {
         // Dropped: the shard is still replaying its log.
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
+            plan: PlanId(0),
             at: TimePoint::new(100),
             seq: 2,
             prefix_high_water: None,
@@ -1784,6 +1988,7 @@ mod tests {
         // Accepted: recovery is over, the stale probe closes the episode.
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
+            plan: PlanId(0),
             at: TimePoint::new(100),
             seq: 3,
             prefix_high_water: None,
@@ -1840,6 +2045,7 @@ mod tests {
         // Fresh work (seq 2) processes normally and closes the episode.
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
+            plan: PlanId(0),
             at: TimePoint::new(100),
             seq: 2,
             prefix_high_water: None,
@@ -1912,12 +2118,12 @@ mod tests {
             SubscriptionId(0),
             PlanId(0),
             0,
-            0,
             sub,
         ))));
         worker.handle(ShardMessage::Batch(two_readings()));
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
+            plan: PlanId(0),
             at: TimePoint::new(100),
             seq: 2,
             prefix_high_water: None,
@@ -1944,7 +2150,6 @@ mod tests {
             SubscriptionId(0),
             PlanId(0),
             0,
-            0,
             sub,
         ))));
         let held = plan_router().pack_rows(0, 4, &held_instances(&snapshot.state));
@@ -1961,6 +2166,7 @@ mod tests {
         // across the snapshot boundary...
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
+            plan: PlanId(0),
             at: TimePoint::new(120),
             seq: 3,
             prefix_high_water: None,

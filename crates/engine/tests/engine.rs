@@ -2,6 +2,7 @@
 //! sustained subscriptions, both execution modes, reordering, and
 //! lifecycle edges.
 
+use std::collections::BTreeSet;
 use stem_cep::{ConsumptionMode, Pattern, SustainedConfig, SustainedEvent};
 use stem_core::{
     dsl, Attributes, CcuId, ConditionObserver, EventId, EventInstance, Layer, MoteId, ObserverId,
@@ -196,29 +197,47 @@ fn late_instances_are_dropped_and_counted() {
     assert_eq!(report.total_late_dropped(), 1);
 }
 
+/// A retired subscription stops receiving, its id becomes unknown to
+/// `unsubscribe` and `probe_silence` (as is an id never issued here),
+/// and its plan-mate keeps the shared plan.
 #[test]
 fn unsubscribe_stops_deliveries() {
-    let mut engine = Engine::start(
+    let config = || {
         EngineConfig::new(bounds())
             .with_batch_size(1)
-            .deterministic(),
+            .deterministic()
+    };
+    let all = |c: &Collector| Subscription::new("all", circle_region(50.0, 50.0, 60.0), c.sink());
+    // An id a wider engine issued lies past this engine's index.
+    let mut wide = Engine::start(config());
+    let unknown = (0..3)
+        .map(|_| wide.subscribe(all(&Collector::new())))
+        .last()
+        .unwrap();
+    let _ = wide.finish();
+
+    let mut engine = Engine::start(config());
+    let (collector, mate) = (Collector::new(), Collector::new());
+    let id = engine.subscribe(all(&collector));
+    engine.subscribe(all(&mate));
+    assert!(!engine.unsubscribe(unknown), "never issued");
+    assert!(
+        !engine.probe_silence(unknown, TimePoint::new(5)),
+        "never issued"
     );
-    let collector = Collector::new();
-    let id = engine.subscribe(Subscription::new(
-        "all",
-        circle_region(50.0, 50.0, 60.0),
-        collector.sink(),
-    ));
     engine.ingest(mk("reading", 0, 10, 50.0, 50.0, 25.0));
     assert!(engine.unsubscribe(id));
     assert!(!engine.unsubscribe(id), "second unsubscribe is a no-op");
+    assert!(!engine.probe_silence(id, TimePoint::new(15)), "retired");
     engine.ingest(mk("reading", 1, 20, 50.0, 50.0, 25.0));
-    let _ = engine.finish();
+    let report = engine.finish();
     assert_eq!(
         collector.take().len(),
         1,
         "only the pre-unsubscribe instance"
     );
+    assert_eq!(mate.take().len(), 2, "the plan-mate keeps receiving");
+    assert_eq!(report.plans_active, 1);
 }
 
 #[test]
@@ -1654,6 +1673,182 @@ fn late_subscriptions_observe_exactly_the_later_stream() {
                 );
                 let _ = std::fs::remove_dir_all(&dir);
             }
+        }
+    }
+}
+
+/// Subscriber `k` of the fan-out test below: twelve subscribers on two
+/// shared plain plans (`k % 2` picks the condition), each plan spread
+/// over three overlapping scopes (`k / 2 % 3`). Every scope holds the
+/// shared home hint, so both plans live on one shard.
+fn fanout_subscription(k: usize, collector: &Collector) -> Subscription {
+    let scope = match k / 2 % 3 {
+        0 => rect_extent(0.0, 0.0, 60.0, 60.0),
+        1 => rect_extent(40.0, 40.0, 100.0, 100.0),
+        _ => rect_extent(20.0, 30.0, 80.0, 70.0),
+    };
+    let condition = if k.is_multiple_of(2) {
+        "x.temp > 45"
+    } else {
+        "x.temp > 40"
+    };
+    Subscription::new("tenant", everywhere(), collector.sink())
+        .scoped_to(scope)
+        .for_event("reading")
+        .when(dsl::parse(condition).unwrap())
+        .homed_near(Point::new(50.0, 50.0))
+}
+
+/// One delivery as `(raw subscription id, instance seq)`.
+fn match_seq(n: &stem_engine::Notification) -> (u64, u64) {
+    match &n.kind {
+        NotificationKind::Match(instance) => (n.subscription.raw(), instance.seq().raw()),
+        other => panic!("plain plans deliver matches, got {other:?}"),
+    }
+}
+
+/// Fan-out across slot groups and plans keeps the global delivery
+/// order and the per-subscriber counters. Twelve subscribers share one
+/// collector over two plain plans with three overlapping scopes each,
+/// so a row lists several slots of one plan and slots of both; four
+/// join mid-stream (later `since` in groups that already have members)
+/// and one leaves. The interleaved stream must be, row by row, the
+/// receivers in ascending subscription id; every subscriber must get
+/// exactly its solo run (same join and leave points); and `evaluated`,
+/// `eval_errors` and `notifications` must be the sums of the solo runs.
+#[test]
+fn fan_out_merges_slot_groups_in_subscription_order() {
+    const SUBSCRIBERS: usize = 12;
+    const PHASES: [usize; 4] = [0, 80, 160, 240];
+    let join_at = |k: usize| match k {
+        8 | 9 => 80,
+        10 | 11 => 160,
+        _ => 0,
+    };
+    let leave_at = |k: usize| (k == 3).then_some(160);
+    let stream: Vec<EventInstance> = (0..240u64)
+        .map(|i| {
+            let (x, y) = ((i * 37 % 100) as f64, (i * 61 % 100) as f64);
+            if i % 11 == 5 {
+                // No `temp`: every plan listing this row errors.
+                EventInstance::builder(
+                    ObserverId::Mote(MoteId::new(1)),
+                    EventId::new("reading"),
+                    Layer::Sensor,
+                )
+                .seq(SeqNo::new(i))
+                .generated(TimePoint::new(10 * i), Point::new(x, y))
+                .attributes(Attributes::new().with("humidity", 0.5))
+                .build()
+            } else {
+                mk("reading", i, 10 * i, x, y, 30.0 + (i * 7 % 30) as f64)
+            }
+        })
+        .collect();
+    for shards in [1, 4] {
+        for threaded in [false, true] {
+            let label = format!("{shards} shards, threaded={threaded}");
+            let config = || {
+                let config = EngineConfig::new(bounds())
+                    .with_shards(shards)
+                    .with_batch_size(4);
+                if threaded {
+                    config
+                } else {
+                    config.deterministic()
+                }
+            };
+            let counters = |report: &stem_engine::EngineReport| {
+                (
+                    report.shards.iter().map(|s| s.evaluated).sum::<u64>(),
+                    report.shards.iter().map(|s| s.eval_errors).sum::<u64>(),
+                    report.total_notifications(),
+                )
+            };
+            let mut solo_sums = (0, 0, 0);
+            let solo: Vec<Vec<stem_engine::Notification>> = (0..SUBSCRIBERS)
+                .map(|k| {
+                    let collector = Collector::new();
+                    let mut engine = Engine::start(config());
+                    let join = join_at(k);
+                    engine.ingest_all(&stream[..join]);
+                    let id = engine.subscribe(fanout_subscription(k, &collector));
+                    match leave_at(k) {
+                        Some(leave) => {
+                            engine.ingest_all(&stream[join..leave]);
+                            assert!(engine.unsubscribe(id));
+                            engine.ingest_all(&stream[leave..]);
+                        }
+                        None => engine.ingest_all(&stream[join..]),
+                    }
+                    let (evaluated, errors, notes) = counters(&engine.finish());
+                    solo_sums = (
+                        solo_sums.0 + evaluated,
+                        solo_sums.1 + errors,
+                        solo_sums.2 + notes,
+                    );
+                    let got = collector.take();
+                    assert!(!got.is_empty(), "{label}: subscriber {k} delivers alone");
+                    got
+                })
+                .collect();
+            assert!(solo_sums.1 > 0, "{label}: the stream must exercise errors");
+
+            let shared = Collector::new();
+            let mut engine = Engine::start(config());
+            let mut ids = Vec::new();
+            for phase in PHASES.windows(2) {
+                for (k, &id) in ids.iter().enumerate() {
+                    if leave_at(k) == Some(phase[0]) {
+                        assert!(engine.unsubscribe(id));
+                    }
+                }
+                for k in (0..SUBSCRIBERS).filter(|&k| join_at(k) == phase[0]) {
+                    ids.push(engine.subscribe(fanout_subscription(k, &shared)));
+                }
+                engine.ingest_all(&stream[phase[0]..phase[1]]);
+            }
+            let report = engine.finish();
+            assert_eq!(report.plans_active, 2, "{label}: two shared plans");
+            let got = shared.take();
+
+            // Per row, the receivers in ascending subscription id.
+            let mut expected = Vec::new();
+            let mut widest = (0, 0);
+            for instance in &stream {
+                let seq = instance.seq().raw();
+                let receivers: Vec<usize> = (0..SUBSCRIBERS)
+                    .filter(|&k| solo[k].iter().any(|n| match_seq(n).1 == seq))
+                    .collect();
+                let plans = receivers.iter().map(|k| k % 2).collect::<BTreeSet<_>>();
+                let slots = receivers
+                    .iter()
+                    .filter(|&&k| k % 2 == 0)
+                    .map(|k| k / 2 % 3)
+                    .collect::<BTreeSet<_>>();
+                widest = widest.max((plans.len(), slots.len()));
+                expected.extend(receivers.iter().map(|&k| (ids[k].raw(), seq)));
+            }
+            assert_eq!(
+                widest,
+                (2, 3),
+                "{label}: some row must list three slots of one plan and both plans"
+            );
+            let order: Vec<(u64, u64)> = got.iter().map(match_seq).collect();
+            assert_eq!(order, expected, "{label}: global fan-out order");
+            for (k, want) in solo.iter().enumerate() {
+                let mine: Vec<_> = got
+                    .iter()
+                    .filter(|n| n.subscription == ids[k])
+                    .map(|n| (n.shard, &n.kind))
+                    .collect();
+                let alone: Vec<_> = want.iter().map(|n| (n.shard, &n.kind)).collect();
+                assert_eq!(
+                    mine, alone,
+                    "{label}: subscriber {k} diverged from its solo run"
+                );
+            }
+            assert_eq!(counters(&report), solo_sums, "{label}: counters");
         }
     }
 }
