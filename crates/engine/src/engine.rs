@@ -11,6 +11,7 @@ use crate::plan::{plan_key, PlanId};
 use crate::router::ShardRouter;
 use crate::shard_map::ShardMap;
 use crate::slot::ShardSlot;
+use crate::sub_index::SubIndex;
 use crate::subscription::{Subscription, SubscriptionId};
 use crate::trace::{FlightRing, TraceHandle, TraceReport, WorkerTrace};
 use crate::worker::{held_instances, Member, PlanState, ShardMessage, ShardWorker, WorkerObs};
@@ -78,9 +79,6 @@ struct PlanEntry {
     scopes: BTreeMap<String, u32>,
 }
 
-/// The `Engine::sub_plans` entry of a retired subscription.
-const RETIRED: u32 = u32::MAX;
-
 /// The streaming runtime. See the crate docs for the architecture.
 ///
 /// Lifecycle: [`Engine::start`] → [`Engine::subscribe`] /
@@ -94,11 +92,9 @@ pub struct Engine {
     plan_keys: HashMap<String, PlanId>,
     /// Live plans by raw id.
     plan_entries: BTreeMap<u64, PlanEntry>,
-    /// Subscription → its plan (unsubscribe / silence-probe lookup),
-    /// indexed by the raw subscription id: ids are dense and never
-    /// reused, so this costs 4 bytes per id ever issued. A retired
-    /// subscription reads [`RETIRED`].
-    sub_plans: Vec<u32>,
+    /// Subscription → its plan (unsubscribe / silence-probe lookup): 4
+    /// bytes per id, in pages that are freed once all their ids retire.
+    sub_plans: SubIndex,
     /// Next plan id — dense, allocated in registration order so a
     /// recovery replaying the same subscriptions re-derives the same
     /// ids.
@@ -300,7 +296,7 @@ impl Engine {
             next_subscription: 0,
             plan_keys: HashMap::new(),
             plan_entries: BTreeMap::new(),
-            sub_plans: Vec::new(),
+            sub_plans: SubIndex::default(),
             next_plan: 0,
             sent_msgs,
             resume_seq: 0,
@@ -478,8 +474,9 @@ impl Engine {
     /// Only its member record travels to the shard — id, first ingest
     /// sequence, delivered count and sink, 40 bytes — into the group of
     /// its scope's slot; the first subscription of a plan compiles the
-    /// template. Every id ever issued costs 4 more bytes in the engine's
-    /// dense subscription → plan index (ids are never reused).
+    /// template. The engine's subscription → plan index holds 4 bytes
+    /// per id, in pages of consecutive ids that are freed once every id
+    /// on them has retired (ids are never reused).
     pub fn subscribe(&mut self, subscription: Subscription) -> SubscriptionId {
         let since = self.router.seq();
         self.register(subscription, since)
@@ -536,9 +533,7 @@ impl Engine {
                 (plan, None)
             }
         };
-        debug_assert_eq!(self.sub_plans.len() as u64, id.raw(), "ids are dense");
-        self.sub_plans
-            .push(u32::try_from(plan.raw()).expect("fewer than 2^32 - 1 plans"));
+        self.sub_plans.insert(id, plan);
         // A joiner sends only its member record; the plan's first
         // subscriber compiles the template.
         let message = match joined {
@@ -558,29 +553,21 @@ impl Engine {
         id
     }
 
-    /// The plan subscription `id` rides; `None` once it is retired or
-    /// if it was never issued.
-    fn plan_of(&self, id: SubscriptionId) -> Option<PlanId> {
-        let raw = *self.sub_plans.get(usize::try_from(id.raw()).ok()?)?;
-        (raw != RETIRED).then_some(PlanId(u64::from(raw)))
-    }
-
     /// Retires a subscription. Returns `false` if the id was never
     /// issued by this engine or is already retired.
     ///
-    /// The dense index names the subscription's plan, so the home shard
-    /// finds the member by binary search (plan, then id within its slot
-    /// groups) instead of scanning every subscriber. The last member out
-    /// retires the plan and its router interest.
+    /// The subscription index names the subscription's plan, so the
+    /// home shard finds the member by binary search (plan, then id
+    /// within its slot groups) instead of scanning every subscriber.
+    /// The last member out retires the plan and its router interest.
     ///
     /// Instances still held behind the watermark at this point are
     /// forfeited: they release after the retirement takes effect and
     /// the subscription no longer observes them.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> bool {
-        let Some(plan) = self.plan_of(id) else {
+        let Some(plan) = self.sub_plans.retire(id) else {
             return false;
         };
-        self.sub_plans[id.raw() as usize] = RETIRED;
         let entry = self
             .plan_entries
             .get_mut(&plan.raw())
@@ -1012,7 +999,7 @@ impl Engine {
     /// advances that shard's stream clock to `at`, and is discarded as
     /// stale if the watermark has already passed `at`.
     pub fn probe_silence(&mut self, id: SubscriptionId, at: TimePoint) -> bool {
-        let Some(plan) = self.plan_of(id) else {
+        let Some(plan) = self.sub_plans.get(id) else {
             return false;
         };
         let home = self.plan_entries[&plan.raw()].home;
@@ -1029,7 +1016,6 @@ impl Engine {
             home,
             ShardMessage::SilenceProbe {
                 id,
-                plan,
                 at,
                 seq,
                 prefix_high_water,

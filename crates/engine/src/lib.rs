@@ -104,6 +104,7 @@ mod plan;
 mod router;
 mod shard_map;
 mod slot;
+mod sub_index;
 mod subscription;
 mod trace;
 mod worker;

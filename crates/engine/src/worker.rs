@@ -9,7 +9,9 @@ use crate::subscription::{
     SustainedValue,
 };
 use crate::trace::WorkerTrace;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -93,8 +95,6 @@ pub(crate) enum ShardMessage {
     SilenceProbe {
         /// The sustained subscription to probe.
         id: SubscriptionId,
-        /// The plan it rides.
-        plan: PlanId,
         /// The probe's observer-local time.
         at: TimePoint,
         /// The probe's global ingest sequence number.
@@ -375,7 +375,7 @@ fn locate(groups: &[Vec<Member>], id: SubscriptionId) -> Option<(usize, usize)> 
 /// One fan-out source: the members `pos..end` of the group of scope
 /// slot `slot` of the plan at index `plan`, all owed the caller's
 /// `source`-th outcome.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Cursor {
     source: u32,
     plan: u32,
@@ -384,42 +384,50 @@ struct Cursor {
     end: u32,
 }
 
-/// Appends one cursor per non-empty group of the plan at index `plan`,
+/// The fan-out cursors of one merge, each keyed by the id of the member
+/// it points at, smallest on top.
+type Merge = BinaryHeap<Reverse<(SubscriptionId, Cursor)>>;
+
+/// Adds a non-empty cursor to `merge`.
+fn push_cursor(plans: &[PlanState], merge: &mut Merge, c: Cursor) {
+    let id = plans[c.plan as usize].groups[c.slot as usize][c.pos as usize].id;
+    merge.push(Reverse((id, c)));
+}
+
+/// Adds one cursor per non-empty group of the plan at index `plan`,
 /// covering every member, owed outcome `source`.
-fn plan_cursors(plans: &[PlanState], plan: usize, source: u32, out: &mut Vec<Cursor>) {
+fn plan_cursors(plans: &[PlanState], plan: usize, source: u32, merge: &mut Merge) {
     for (slot, group) in plans[plan].groups.iter().enumerate() {
         if !group.is_empty() {
-            out.push(Cursor {
+            let c = Cursor {
                 source,
                 plan: plan as u32,
                 slot: slot as u32,
                 pos: 0,
                 end: group.len() as u32,
-            });
+            };
+            push_cursor(plans, merge, c);
         }
     }
 }
 
-/// Pops the member with the smallest subscription id across `cursors`:
-/// a k-way merge of id-ordered groups, which yields exactly the global
-/// registration order one detector per subscription delivered in. A
-/// single cursor is walked without comparing ids.
-fn next_member(plans: &[PlanState], cursors: &mut Vec<Cursor>) -> Option<Cursor> {
-    let k = match cursors.len() {
-        0 => return None,
-        1 => 0,
-        n => (0..n)
-            .min_by_key(|&k| {
-                let c = cursors[k];
-                plans[c.plan as usize].groups[c.slot as usize][c.pos as usize].id
-            })
-            .expect("n > 1"),
-    };
-    let c = cursors[k];
+/// Pops the member with the smallest subscription id across the
+/// merge's cursors: a k-way merge of id-ordered groups, which yields
+/// exactly the global registration order one detector per subscription
+/// delivered in. The heap keeps it at O(log k) per member for k
+/// cursors; a lone cursor is re-keyed in place.
+fn next_member(plans: &[PlanState], merge: &mut Merge) -> Option<Cursor> {
+    let mut top = merge.peek_mut()?;
+    let Reverse((_, c)) = *top;
     if c.pos + 1 == c.end {
-        cursors.swap_remove(k);
+        PeekMut::pop(top);
     } else {
-        cursors[k].pos += 1;
+        let next = Cursor {
+            pos: c.pos + 1,
+            ..c
+        };
+        let id = plans[c.plan as usize].groups[c.slot as usize][next.pos as usize].id;
+        *top = Reverse((id, next));
     }
     Some(c)
 }
@@ -519,10 +527,6 @@ enum StreamItem {
     /// samples are still held behind the watermark slack.
     Probe {
         id: SubscriptionId,
-        /// The plan the probed subscription rides, as the live message
-        /// named it; `None` for a probe replayed from the log or restored
-        /// from a snapshot (neither stores it), resolved at release.
-        plan: Option<PlanId>,
         at: TimePoint,
         /// The probe's global ingest sequence (its trace identity).
         seq: u64,
@@ -552,7 +556,7 @@ fn encode_stream_item(item: &StreamItem, buf: &mut Vec<u8>) {
             // bit-identically), keeping the format stable.
             codec::encode_instance(&row.chunk.rows.materialize(row.index as usize), buf);
         }
-        StreamItem::Probe { id, at, seq, .. } => {
+        StreamItem::Probe { id, at, seq } => {
             codec::put_u8(buf, ITEM_TAG_PROBE);
             codec::put_u64(buf, id.raw());
             codec::encode_time_point(*at, buf);
@@ -583,12 +587,7 @@ fn decode_stream_item(bytes: &mut &[u8]) -> CodecResult<HeldItem> {
             let id = SubscriptionId(codec::get_u64(bytes)?);
             let at = codec::decode_time_point(bytes)?;
             let seq = codec::get_u64(bytes)?;
-            Ok(HeldItem::Probe(StreamItem::Probe {
-                id,
-                plan: None,
-                at,
-                seq,
-            }))
+            Ok(HeldItem::Probe(StreamItem::Probe { id, at, seq }))
         }
         tag => Err(CodecError::BadTag {
             what: "StreamItem",
@@ -736,9 +735,9 @@ pub(crate) struct ShardWorker {
     /// The plans the row being dispatched evaluates (reused across
     /// dispatches).
     listed: Vec<Listed>,
-    /// The fan-out cursors of the row being dispatched (reused across
+    /// The fan-out merge of the row being dispatched (reused across
     /// dispatches).
-    cursors: Vec<Cursor>,
+    cursors: Merge,
 }
 
 impl ShardWorker {
@@ -770,7 +769,7 @@ impl ShardWorker {
             obs,
             trace,
             listed: Vec::new(),
-            cursors: Vec::new(),
+            cursors: Merge::new(),
         }
     }
 
@@ -787,7 +786,7 @@ impl ShardWorker {
     /// `(raw id, delivered)` of every member of the plan at index
     /// `plan`, in id order: the plan's rows in a checkpoint snapshot.
     fn members_in_id_order(&self, plan: usize) -> Vec<(u64, u64)> {
-        let mut cursors = Vec::new();
+        let mut cursors = Merge::new();
         plan_cursors(&self.plans, plan, 0, &mut cursors);
         let mut rows = Vec::with_capacity(self.plans[plan].members());
         while let Some(c) = next_member(&self.plans, &mut cursors) {
@@ -893,11 +892,10 @@ impl ShardWorker {
             }
             ShardMessage::SilenceProbe {
                 id,
-                plan,
                 at,
                 seq,
                 prefix_high_water,
-            } => self.queue_silence_probe(id, plan, at, seq, prefix_high_water),
+            } => self.queue_silence_probe(id, at, seq, prefix_high_water),
             ShardMessage::Recover {
                 snapshot,
                 held,
@@ -1158,7 +1156,7 @@ impl ShardWorker {
                         let released = self.reorder.observe(hw);
                         self.dispatch_all(released);
                     }
-                    self.enqueue_probe(SubscriptionId(subscription), None, at, seq);
+                    self.enqueue_probe(SubscriptionId(subscription), at, seq);
                 }
                 WalRecord::Heartbeat { high_water, .. } => {
                     self.logged_high_water = Some(
@@ -1393,7 +1391,7 @@ impl ShardWorker {
                     }
                     self.dispatch(at, &row, meta);
                 }
-                StreamItem::Probe { id, plan, at, seq } => {
+                StreamItem::Probe { id, at, seq } => {
                     let mut meta = ItemMeta {
                         seq,
                         ..ItemMeta::default()
@@ -1401,7 +1399,7 @@ impl ShardWorker {
                     if self.trace.is_some() {
                         meta.release = release;
                     }
-                    self.silence_probe(id, plan, at, meta);
+                    self.silence_probe(id, at, meta);
                 }
             }
         }
@@ -1515,13 +1513,14 @@ impl ShardWorker {
                     };
                     let end = eligible(group, meta.seq);
                     if end > 0 {
-                        cursors.push(Cursor {
+                        let c = Cursor {
                             source: source as u32,
                             plan: entry.plan,
                             slot: h.slot,
                             pos: 0,
                             end: end as u32,
-                        });
+                        };
+                        push_cursor(&self.plans, &mut cursors, c);
                     }
                 }
             }
@@ -1689,7 +1688,6 @@ impl ShardWorker {
     fn queue_silence_probe(
         &mut self,
         id: SubscriptionId,
-        plan: PlanId,
         at: TimePoint,
         seq: u64,
         prefix_high_water: Option<TimePoint>,
@@ -1713,14 +1711,14 @@ impl ShardWorker {
             let released = self.reorder.observe(hw);
             self.dispatch_all(released);
         }
-        self.enqueue_probe(id, Some(plan), at, seq);
+        self.enqueue_probe(id, at, seq);
     }
 
     /// Enqueues a silence probe into the reorder buffer so it reaches
     /// the sustained detector in stream order. Probes already behind
     /// the watermark are stale — the stream has moved past them — and
     /// are discarded (with a `Late` verdict when tracing).
-    fn enqueue_probe(&mut self, id: SubscriptionId, plan: Option<PlanId>, at: TimePoint, seq: u64) {
+    fn enqueue_probe(&mut self, id: SubscriptionId, at: TimePoint, seq: u64) {
         if self.reorder.watermark().is_some_and(|w| at < w) {
             if let Some(wt) = self.trace.as_mut() {
                 note_drop(wt, self.shard, TraceId(seq), DropVerdict::Late);
@@ -1728,7 +1726,7 @@ impl ShardWorker {
             return;
         }
         self.probes += 1;
-        let probe = StreamItem::Probe { id, plan, at, seq };
+        let probe = StreamItem::Probe { id, at, seq };
         let released = self.reorder.push_at(at, probe);
         self.dispatch_all(released);
     }
@@ -1740,25 +1738,17 @@ impl ShardWorker {
     /// sustained plans never share (the canonicalizer keys them by
     /// subscription), so the addressed subscriber is the plan's only
     /// one — but the fan-out still resolves the member by id rather
-    /// than assuming it. A probe that left since it was sent (or whose
-    /// plan retired) finds no member and does nothing.
-    fn silence_probe(
-        &mut self,
-        id: SubscriptionId,
-        plan: Option<PlanId>,
-        at: TimePoint,
-        meta: ItemMeta,
-    ) {
+    /// than assuming it: each plan's groups are binary-searched for the
+    /// id. A probe that left since it was sent finds no member and does
+    /// nothing.
+    fn silence_probe(&mut self, id: SubscriptionId, at: TimePoint, meta: ItemMeta) {
         let shard = self.shard;
-        let idx = match plan {
-            Some(plan) => self.plan_position(plan),
-            // A replayed or restored probe does not name its plan.
-            None => self
-                .plans
-                .iter()
-                .position(|p| locate(&p.groups, id).is_some()),
-        };
-        let Some(idx) = idx else {
+        let Some((idx, (slot, pos))) = self
+            .plans
+            .iter()
+            .enumerate()
+            .find_map(|(idx, p)| Some((idx, locate(&p.groups, id)?)))
+        else {
             return;
         };
         let PlanState { kind, groups, .. } = &mut self.plans[idx];
@@ -1766,9 +1756,6 @@ impl ShardWorker {
             return;
         };
         let Some(silence) = &state.silence else {
-            return;
-        };
-        let Some((slot, pos)) = locate(groups, id) else {
             return;
         };
         let stale = state
@@ -1813,7 +1800,7 @@ impl ShardWorker {
         self.dispatch_all(remaining);
         let shard = self.shard;
         let mut closed: Vec<(SustainedEvent, Vec<Constituent>)> = Vec::new();
-        let mut cursors = Vec::new();
+        let mut cursors = Merge::new();
         for idx in 0..self.plans.len() {
             if let EvalKind::Sustained(state) = &mut self.plans[idx].kind {
                 if let Some(event) = state.detector.finish(at) {
@@ -1954,6 +1941,38 @@ mod tests {
         worker
     }
 
+    /// Many notifying (plan, slot) groups at once: the merge pops every
+    /// member exactly once, in ascending subscription id, with ids
+    /// interleaved across 40 plans and three slots each.
+    #[test]
+    fn merge_yields_members_in_id_order_across_many_groups() {
+        const PLANS: u64 = 40;
+        const MEMBERS: u64 = 6;
+        let collector = Collector::new();
+        let plans: Vec<PlanState> = (0..PLANS)
+            .map(|p| {
+                let sub = Subscription::new("plain", region(), collector.sink());
+                let mut plan = PlanState::compile(SubscriptionId(p), PlanId(p), 0, sub);
+                for m in 1..MEMBERS {
+                    let id = SubscriptionId(p + m * PLANS);
+                    plan.join((m % 3) as u32, Member::new(id, 0, collector.sink()));
+                }
+                plan
+            })
+            .collect();
+        let mut merge = Merge::new();
+        for idx in 0..plans.len() {
+            plan_cursors(&plans, idx, idx as u32, &mut merge);
+        }
+        let mut popped = Vec::new();
+        while let Some(c) = next_member(&plans, &mut merge) {
+            assert_eq!(c.source, c.plan);
+            popped.push(plans[c.plan as usize].groups[c.slot as usize][c.pos as usize].id);
+        }
+        let expected: Vec<SubscriptionId> = (0..PLANS * MEMBERS).map(SubscriptionId).collect();
+        assert_eq!(popped, expected);
+    }
+
     /// The recovery guard (see `ReorderBuffer::is_recovering`): a live
     /// silence probe racing the log replay is dropped — the log already
     /// carries every probe that fired before the crash, so accepting it
@@ -1979,7 +1998,6 @@ mod tests {
         // Dropped: the shard is still replaying its log.
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
-            plan: PlanId(0),
             at: TimePoint::new(100),
             seq: 2,
             prefix_high_water: None,
@@ -1988,7 +2006,6 @@ mod tests {
         // Accepted: recovery is over, the stale probe closes the episode.
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
-            plan: PlanId(0),
             at: TimePoint::new(100),
             seq: 3,
             prefix_high_water: None,
@@ -2045,7 +2062,6 @@ mod tests {
         // Fresh work (seq 2) processes normally and closes the episode.
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
-            plan: PlanId(0),
             at: TimePoint::new(100),
             seq: 2,
             prefix_high_water: None,
@@ -2123,7 +2139,6 @@ mod tests {
         worker.handle(ShardMessage::Batch(two_readings()));
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
-            plan: PlanId(0),
             at: TimePoint::new(100),
             seq: 2,
             prefix_high_water: None,
@@ -2166,7 +2181,6 @@ mod tests {
         // across the snapshot boundary...
         worker.handle(ShardMessage::SilenceProbe {
             id: SubscriptionId(0),
-            plan: PlanId(0),
             at: TimePoint::new(120),
             seq: 3,
             prefix_high_water: None,
